@@ -9,7 +9,7 @@ elementary generator words, cocycle phase functions, a dense complex oracle
 for finite windows, and a CLI wrapping the lot.
 """
 
-from .ffield import Fp, check_prime, inv_mod, is_prime
+from .ffield import check_prime, inv_mod, is_prime
 from .laurent import (
     NEG_INF,
     LaurentPoly,
@@ -59,7 +59,6 @@ from .cocycle import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Fp",
     "check_prime",
     "inv_mod",
     "is_prime",

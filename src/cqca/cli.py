@@ -31,7 +31,7 @@ from .cocycle import NoValidPhase, default_phase, validate_cocycle
 from .laurent import LaurentPoly
 from .phasespace import PhaseVector
 
-__all__ = ["PolyParseError", "parse_poly", "render_poly", "main"]
+__all__ = ["PolyParseError", "parse_poly", "main"]
 
 _EXP_LIMIT = 2**31
 
@@ -150,11 +150,6 @@ def _parse_term(sc: _Scanner, d: int):
     if coeff is None:
         coeff = 1
     return coeff, tuple(exponents)
-
-
-def render_poly(poly: LaurentPoly) -> str:
-    """Deterministic rendering; inverse of parse_poly on canonical forms."""
-    return str(poly)
 
 
 # -- matrix I/O -----------------------------------------------------------------

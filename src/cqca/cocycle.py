@@ -25,6 +25,7 @@ from zero and returns the first admissible assignment.
 from __future__ import annotations
 
 import random
+from itertools import product
 
 import numpy as np
 
@@ -114,8 +115,8 @@ class PhaseFunction:
         c1 = automaton.column_plus()
         c2 = automaton.column_minus()
         # Diagonal corrections C(e, e) = beta(e, e) - beta(se, se) = -beta(se, se).
-        self._diag_plus = -beta(c1, c1).value % p
-        self._diag_minus = -beta(c2, c2).value % p
+        self._diag_plus = -beta(c1, c1) % p
+        self._diag_minus = -beta(c2, c2) % p
 
     @property
     def order(self) -> int:
@@ -160,7 +161,7 @@ class PhaseFunction:
                 # phi of the scalar multiple c * e.
                 val = (step * ((diag * (c * (c - 1) // 2)) % p) + c * gen) % order
                 # Cocycle correction C(partial, v).
-                corr = (beta(partial, v).value - beta(image, v_img).value) % p
+                corr = (beta(partial, v) - beta(image, v_img)) % p
                 total = (total + val + step * corr) % order
                 partial = partial + v
                 image = image + v_img
@@ -169,7 +170,7 @@ class PhaseFunction:
     def correction(self, xi: PhaseVector, eta: PhaseVector) -> int:
         """C(xi, eta) = beta(xi, eta) - beta(s xi, s eta), as an int mod p."""
         s = self.automaton
-        return (beta(xi, eta).value - beta(s.apply(xi), s.apply(eta)).value) % s.p
+        return (beta(xi, eta) - beta(s.apply(xi), s.apply(eta))) % s.p
 
     def to_json_dict(self) -> dict:
         return {
@@ -202,21 +203,6 @@ def default_phase(s: sca.ScaMatrix) -> PhaseFunction:
     if gp is None or gm is None:
         raise NoValidPhase(f"no generator exponent satisfies the power constraint for {s!r}")
     return PhaseFunction(s, PhaseExponent(gp, order), PhaseExponent(gm, order))
-
-
-def _random_vector(rng, p, radius, d=1) -> PhaseVector:
-    from itertools import product
-
-    plus = {}
-    minus = {}
-    for x in product(range(-radius, radius + 1), repeat=d):
-        a = rng.randrange(p)
-        b = rng.randrange(p)
-        if a:
-            plus[x] = a
-        if b:
-            minus[x] = b
-    return PhaseVector(LaurentPoly(p, d, plus), LaurentPoly(p, d, minus))
 
 
 def _validate_exhaustive_p2(phi: PhaseFunction, radius: int) -> bool:
@@ -268,17 +254,18 @@ def validate_cocycle(phi: PhaseFunction, radius: int, samples: int = 10000, seed
     order = phi.order
     step = order // p
     rng = random.Random(seed)
+    cells = list(product(range(-radius, radius + 1), repeat=s.d))
     # Translation invariance on a handful of sampled vectors.
     for _ in range(24):
-        xi = _random_vector(rng, p, radius, s.d)
+        xi = PhaseVector.random(rng, p, cells, s.d)
         x = tuple(rng.randint(-3, 3) for _ in range(s.d))
         if phi.evaluate(xi.translate(x if s.d > 1 else x[0])) != phi.evaluate(xi):
             return False
     if p == 2 and s.d == 1 and radius <= 2:
         return _validate_exhaustive_p2(phi, radius)
     for _ in range(samples):
-        xi = _random_vector(rng, p, radius, s.d)
-        eta = _random_vector(rng, p, radius, s.d)
+        xi = PhaseVector.random(rng, p, cells, s.d)
+        eta = PhaseVector.random(rng, p, cells, s.d)
         expected = (
             phi.evaluate(xi).numerator
             + phi.evaluate(eta).numerator

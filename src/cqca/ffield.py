@@ -1,16 +1,16 @@
 """Arithmetic in the prime field F_p.
 
-These scalars are the coefficient domain for everything built on top:
-Laurent polynomials, phase-space forms, matrix entries.  The modulus is an
-ordinary runtime value, so a single process can work over several fields at
-once; elements of different fields never mix silently.
+Field elements are plain ints reduced to [0, p): the coefficients of
+Laurent polynomials, the values of the phase-space forms, matrix entries.
+The modulus is an ordinary runtime value carried by the objects built on
+top, so a single process can work over several fields at once.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-__all__ = ["Fp", "is_prime", "check_prime", "inv_mod"]
+__all__ = ["is_prime", "check_prime", "inv_mod"]
 
 
 @lru_cache(maxsize=None)
@@ -43,106 +43,3 @@ def inv_mod(a: int, p: int) -> int:
     if a == 0:
         raise ZeroDivisionError(f"0 is not invertible mod {p}")
     return pow(a, p - 2, p)
-
-
-class Fp:
-    """An element of F_p, stored reduced to the range [0, p).
-
-    Arithmetic with plain ints reduces them mod p first; arithmetic between
-    elements of *different* fields is a hard error rather than a coercion.
-    """
-
-    __slots__ = ("value", "p")
-
-    def __init__(self, value, p):
-        check_prime(p)
-        if isinstance(value, Fp):
-            if value.p != p:
-                raise ValueError(f"modulus mismatch: {value.p} vs {p}")
-            value = value.value
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise TypeError(f"field element value must be an int, got {value!r}")
-        self.value = value % p
-        self.p = p
-
-    def _operand(self, other):
-        """Return the int value of the other operand, or None if foreign."""
-        if isinstance(other, Fp):
-            if other.p != self.p:
-                raise ValueError(f"modulus mismatch: {self.p} vs {other.p}")
-            return other.value
-        if isinstance(other, int) and not isinstance(other, bool):
-            return other % self.p
-        return None
-
-    def __add__(self, other):
-        v = self._operand(other)
-        if v is None:
-            return NotImplemented
-        return Fp(self.value + v, self.p)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        v = self._operand(other)
-        if v is None:
-            return NotImplemented
-        return Fp(self.value - v, self.p)
-
-    def __rsub__(self, other):
-        v = self._operand(other)
-        if v is None:
-            return NotImplemented
-        return Fp(v - self.value, self.p)
-
-    def __mul__(self, other):
-        v = self._operand(other)
-        if v is None:
-            return NotImplemented
-        return Fp(self.value * v, self.p)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return Fp(-self.value, self.p)
-
-    def __truediv__(self, other):
-        v = self._operand(other)
-        if v is None:
-            return NotImplemented
-        return Fp(self.value * inv_mod(v, self.p), self.p)
-
-    def __rtruediv__(self, other):
-        v = self._operand(other)
-        if v is None:
-            return NotImplemented
-        return Fp(v * inv_mod(self.value, self.p), self.p)
-
-    def __pow__(self, exponent: int):
-        if not isinstance(exponent, int):
-            return NotImplemented
-        if exponent < 0:
-            return Fp(pow(inv_mod(self.value, self.p), -exponent, self.p), self.p)
-        return Fp(pow(self.value, exponent, self.p), self.p)
-
-    def inverse(self) -> "Fp":
-        return Fp(inv_mod(self.value, self.p), self.p)
-
-    def __eq__(self, other):
-        if isinstance(other, Fp):
-            return self.p == other.p and self.value == other.value
-        if isinstance(other, int) and not isinstance(other, bool):
-            return self.value == other % self.p
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.value, self.p))
-
-    def __bool__(self):
-        return self.value != 0
-
-    def __int__(self):
-        return self.value
-
-    def __repr__(self):
-        return f"Fp({self.value}, {self.p})"

@@ -11,17 +11,17 @@ symplectic normal form of a cellular automaton lives.  Division with
 remainder inside that subring works against the symmetric basis
 b_0 = 1, b_n = u^n + u^-n and is the engine of the Euclidean factorization.
 
-Products dispatch between a sparse dict walk and a dense coefficient-window
-convolution (see kernels.py); both give identical canonical results, the
-dense path is just faster for the contiguous supports that dominate here.
+Products dispatch between a monomial shift, a dense coefficient-window
+convolution and a sparse dict walk; all give identical canonical results.
+The dense path is one np.convolve for every d (Kronecker substitution) and
+is just faster for the contiguous supports that dominate here.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from . import kernels
-from .ffield import Fp, check_prime, inv_mod
+from .ffield import check_prime, inv_mod
 
 __all__ = [
     "LaurentPoly",
@@ -35,11 +35,14 @@ __all__ = [
 # Degree of the zero polynomial: a real minus infinity, ordered below every int.
 NEG_INF = float("-inf")
 
-# Dense-path guards.  A dense product costs len(a)*len(b) int64 multiply-adds;
-# beyond the budget (or for very hollow supports) the sparse walk wins.  The
-# modulus cap keeps int64 accumulation exact: window * (p-1)^2 < 2^63.
+# Dense-path guards.  A dense product costs len(a)*len(b) int64 multiply-adds
+# over the laid-out windows; beyond the budget (or for very hollow supports)
+# the sparse walk wins.  The modulus cap keeps int64 accumulation exact: each
+# output cell sums at most min(len) <= 2^11 products below 2^40.  The exponent
+# cap keeps every product exponent inside int64.
 _DENSE_BUDGET = 1 << 22
 _DENSE_MAX_P = 1 << 20
+_DENSE_MAX_EXP = 1 << 62
 
 
 def _as_exponent(x, d):
@@ -69,10 +72,6 @@ class LaurentPoly:
         if terms:
             for e, c in terms.items():
                 e = _as_exponent(e, d)
-                if isinstance(c, Fp):
-                    if c.p != p:
-                        raise ValueError(f"modulus mismatch: {c.p} vs {p}")
-                    c = c.value
                 acc[e] = (acc.get(e, 0) + c) % p
         self.p = p
         self.d = d
@@ -202,11 +201,6 @@ class LaurentPoly:
         """Multiply by the monomial u^x (translation of the support)."""
         return self._mul_monomial(_as_exponent(x, self.d), 1)
 
-    def _bounds(self):
-        lo = [min(e[i] for e in self.terms) for i in range(self.d)]
-        hi = [max(e[i] for e in self.terms) for i in range(self.d)]
-        return lo, hi
-
     def _mul_sparse(self, other):
         acc = {}
         for e1, c1 in self.terms.items():
@@ -221,47 +215,59 @@ class LaurentPoly:
                 out[e] = c
         return LaurentPoly._raw(p, self.d, out)
 
-    def _mul_dense(self, other, lo_a, hi_a, lo_b, hi_b):
-        p = self.p
-        if self.d == 1:
-            arr_a = np.zeros(hi_a[0] - lo_a[0] + 1, dtype=np.int64)
-            for (e,), c in self.terms.items():
-                arr_a[e - lo_a[0]] = c
-            arr_b = np.zeros(hi_b[0] - lo_b[0] + 1, dtype=np.int64)
-            for (e,), c in other.terms.items():
-                arr_b[e - lo_b[0]] = c
-            conv = kernels.convolve_mod(arr_a, arr_b, p)
-            base = lo_a[0] + lo_b[0]
-            nz = np.nonzero(conv)[0]
-            out = {(base + int(i),): int(conv[i]) for i in nz}
-            return LaurentPoly._raw(p, 1, out)
-        arr_a = np.zeros(
-            (hi_a[0] - lo_a[0] + 1, hi_a[1] - lo_a[1] + 1), dtype=np.int64
-        )
-        for e, c in self.terms.items():
-            arr_a[e[0] - lo_a[0], e[1] - lo_a[1]] = c
-        arr_b = np.zeros(
-            (hi_b[0] - lo_b[0] + 1, hi_b[1] - lo_b[1] + 1), dtype=np.int64
-        )
-        for e, c in other.terms.items():
-            arr_b[e[0] - lo_b[0], e[1] - lo_b[1]] = c
-        conv = kernels.convolve2d_mod(arr_a, arr_b, p)
-        base0 = lo_a[0] + lo_b[0]
-        base1 = lo_a[1] + lo_b[1]
-        rows, cols = np.nonzero(conv)
-        out = {
-            (base0 + int(i), base1 + int(j)): int(conv[i, j])
-            for i, j in zip(rows, cols)
-        }
-        return LaurentPoly._raw(p, 2, out)
+    def _mul_dense(self, other):
+        """Product by Kronecker substitution, or None when the windows do not suit it.
+
+        Both coefficient windows are laid out with the row strides of the
+        product window, whose rows are wide enough that no sum of two offsets
+        carries into the next row.  One 1-D convolution then yields the
+        product window for any number of variables.
+        """
+        cols_a = tuple(zip(*self.terms))
+        cols_b = tuple(zip(*other.terms))
+        lo_a = [min(c) for c in cols_a]
+        lo_b = [min(c) for c in cols_b]
+        span_a = [max(c) - lo for c, lo in zip(cols_a, lo_a)]
+        span_b = [max(c) - lo for c, lo in zip(cols_b, lo_b)]
+        if max(map(abs, lo_a + lo_b)) + max(span_a + span_b) >= _DENSE_MAX_EXP:
+            return None
+        shape = [x + y + 1 for x, y in zip(span_a, span_b)]
+        strides = [1] * self.d
+        for i in range(self.d - 1, 0, -1):
+            strides[i - 1] = strides[i] * shape[i]
+        len_a = sum(x * s for x, s in zip(span_a, strides)) + 1
+        len_b = sum(x * s for x, s in zip(span_b, strides)) + 1
+        if (
+            len_a * len_b > _DENSE_BUDGET
+            or len_a > 16 * len(self.terms) + 64
+            or len_b > 16 * len(other.terms) + 64
+        ):
+            return None
+        d = self.d
+
+        def layout(poly, cols, lo, length):
+            exps = np.array(cols, dtype=np.int64)
+            if d == 1:
+                offsets = exps[0] - lo[0]
+            else:
+                offsets = np.array(strides) @ (exps - np.array(lo)[:, None])
+            window = np.zeros(length, dtype=np.int64)
+            window[offsets] = np.fromiter(poly.terms.values(), np.int64, len(poly.terms))
+            return window
+
+        conv = np.convolve(layout(self, cols_a, lo_a, len_a), layout(other, cols_b, lo_b, len_b))
+        conv %= self.p
+        nz = conv.nonzero()[0]
+        base = [x + y for x, y in zip(lo_a, lo_b)]
+        if d == 1:
+            keys = zip((nz + base[0]).tolist())
+        else:
+            keys = zip(*(np.array(np.unravel_index(nz, shape)) + np.array(base)[:, None]).tolist())
+        return LaurentPoly._raw(self.p, d, dict(zip(keys, conv[nz].tolist())))
 
     def __mul__(self, other):
         if isinstance(other, int) and not isinstance(other, bool):
             return self._scaled(other)
-        if isinstance(other, Fp):
-            if other.p != self.p:
-                raise ValueError(f"modulus mismatch: {other.p} vs {self.p}")
-            return self._scaled(other.value)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         self._require_same_ring(other)
@@ -273,22 +279,14 @@ class LaurentPoly:
         if len(self.terms) == 1:
             ((e, c),) = self.terms.items()
             return other._mul_monomial(e, c)
-        if self.d <= 2 and self.p <= _DENSE_MAX_P:
-            lo_a, hi_a = self._bounds()
-            lo_b, hi_b = other._bounds()
-            cells_a = 1
-            cells_b = 1
-            for i in range(self.d):
-                cells_a *= hi_a[i] - lo_a[i] + 1
-                cells_b *= hi_b[i] - lo_b[i] + 1
-            hollow_a = cells_a > 16 * len(self.terms) + 64
-            hollow_b = cells_b > 16 * len(other.terms) + 64
-            if cells_a * cells_b <= _DENSE_BUDGET and not (hollow_a or hollow_b):
-                return self._mul_dense(other, lo_a, hi_a, lo_b, hi_b)
+        if self.p <= _DENSE_MAX_P:
+            product = self._mul_dense(other)
+            if product is not None:
+                return product
         return self._mul_sparse(other)
 
     def __rmul__(self, other):
-        if isinstance(other, (int, Fp)) and not isinstance(other, bool):
+        if isinstance(other, int) and not isinstance(other, bool):
             return self.__mul__(other)
         return NotImplemented
 

@@ -120,7 +120,7 @@ def check_weyl_relation(xi: PhaseVector, eta: PhaseVector, window: Window, tol: 
     """w(xi + eta) == eps_p^{beta(xi, eta)} w(xi) w(eta) on the window."""
     w_sum = weyl_matrix(xi + eta, window)
     w_prod = weyl_matrix(xi, window) @ weyl_matrix(eta, window)
-    return _max_diff(w_sum, _phase(window.p, beta(xi, eta).value) * w_prod) < tol
+    return _max_diff(w_sum, _phase(window.p, beta(xi, eta)) * w_prod) < tol
 
 
 def check_commutation(xi: PhaseVector, eta: PhaseVector, window: Window, tol: float = TOLERANCE) -> bool:
@@ -128,7 +128,7 @@ def check_commutation(xi: PhaseVector, eta: PhaseVector, window: Window, tol: fl
     w_xi = weyl_matrix(xi, window)
     w_eta = weyl_matrix(eta, window)
     lhs = w_eta @ w_xi
-    rhs = _phase(window.p, sigma(xi, eta).value) * (w_xi @ w_eta)
+    rhs = _phase(window.p, sigma(xi, eta)) * (w_xi @ w_eta)
     return _max_diff(lhs, rhs) < tol
 
 
@@ -156,7 +156,7 @@ def check_order_condition(xi: PhaseVector, window: Window, tol: float = TOLERANC
     w = weyl_matrix(xi, window)
     power = np.linalg.matrix_power(w, p)
     kappa = p * (p - 1) // 2
-    expected = _phase(p, -kappa * beta(xi, xi).value) * np.eye(window.dim)
+    expected = _phase(p, -kappa * beta(xi, xi)) * np.eye(window.dim)
     return _max_diff(power, expected) < tol
 
 
@@ -224,7 +224,7 @@ def check_clifford_action(
             * (w_of(s.apply(xi)) @ w_of(s.apply(eta)))
         )
         rhs = (
-            _phase(p, -beta(xi, eta).value)
+            _phase(p, -beta(xi, eta))
             * phi.evaluate(xi + eta).to_complex()
             * w_of(s.apply(xi + eta))
         )
@@ -234,20 +234,10 @@ def check_clifford_action(
         vectors = _vectors_on_cells(p, inner_cells)
         return all(pair_ok(xi, eta) for xi in vectors for eta in vectors)
     rng = random.Random(seed)
-
-    def random_inner_vector() -> PhaseVector:
-        plus = {}
-        minus = {}
-        for x in inner_cells:
-            a = rng.randrange(p)
-            b = rng.randrange(p)
-            if a:
-                plus[x] = a
-            if b:
-                minus[x] = b
-        return PhaseVector(LaurentPoly(p, 1, plus), LaurentPoly(p, 1, minus))
-
-    return all(pair_ok(random_inner_vector(), random_inner_vector()) for _ in range(samples))
+    return all(
+        pair_ok(PhaseVector.random(rng, p, inner_cells), PhaseVector.random(rng, p, inner_cells))
+        for _ in range(samples)
+    )
 
 
 def _selftest_family(p: int, window: Window) -> list:
@@ -290,7 +280,7 @@ def run_selftest(p: int, sites: int, seed: int = 7) -> list:
             w_sum = weyl_matrix(xi + eta, window)
             good = (
                 _max_diff(
-                    w_sum, _phase(p, beta(xi, eta).value) * (w_of(xi) @ w_of(eta))
+                    w_sum, _phase(p, beta(xi, eta)) * (w_of(xi) @ w_of(eta))
                 )
                 < TOLERANCE
             )
@@ -303,7 +293,7 @@ def run_selftest(p: int, sites: int, seed: int = 7) -> list:
     for xi in family:
         for eta in family:
             k = commutation_exponent(xi, eta, window)
-            ok = ok and k is not None and k == sigma(xi, eta).value
+            ok = ok and k is not None and k == sigma(xi, eta)
             cases += 1
     reports.append({"check": "commutation", "pass": ok, "cases": cases})
 

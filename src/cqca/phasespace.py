@@ -18,7 +18,6 @@ polynomial identities on the matrix columns.
 
 from __future__ import annotations
 
-from .ffield import Fp
 from .laurent import LaurentPoly
 
 __all__ = ["PhaseVector", "beta", "sigma", "form_sigma_poly"]
@@ -50,14 +49,30 @@ class PhaseVector:
         return cls(z, z)
 
     @classmethod
-    def e_plus(cls, p, d=1, x=0):
-        """Unit vector with a single plus (Z-type) excitation at cell x."""
+    def e_plus(cls, p, d=1, x=None):
+        """Unit vector with a single plus (Z-type) excitation at cell x (default: origin)."""
+        x = (0,) * d if x is None else x
         return cls(LaurentPoly.monomial(p, d, x), LaurentPoly.zero(p, d))
 
     @classmethod
-    def e_minus(cls, p, d=1, x=0):
-        """Unit vector with a single minus (X-type) excitation at cell x."""
+    def e_minus(cls, p, d=1, x=None):
+        """Unit vector with a single minus (X-type) excitation at cell x (default: origin)."""
+        x = (0,) * d if x is None else x
         return cls(LaurentPoly.zero(p, d), LaurentPoly.monomial(p, d, x))
+
+    @classmethod
+    def random(cls, rng, p, cells, d=1):
+        """Uniform vector on the given cells: per cell, the plus draw, then the minus one."""
+        plus = {}
+        minus = {}
+        for x in cells:
+            a = rng.randrange(p)
+            b = rng.randrange(p)
+            if a:
+                plus[x] = a
+            if b:
+                minus[x] = b
+        return cls(LaurentPoly(p, d, plus), LaurentPoly(p, d, minus))
 
     def is_zero(self) -> bool:
         return self.plus.is_zero() and self.minus.is_zero()
@@ -88,7 +103,7 @@ class PhaseVector:
 
     def __rmul__(self, f):
         """Module action: a Laurent polynomial (or scalar) acts on both components."""
-        if isinstance(f, (LaurentPoly, int, Fp)) and not isinstance(f, bool):
+        if isinstance(f, (LaurentPoly, int)) and not isinstance(f, bool):
             return PhaseVector(f * self.plus, f * self.minus)
         return NotImplemented
 
@@ -108,8 +123,8 @@ def _require_compatible(xi: PhaseVector, eta: PhaseVector):
     xi.plus._require_same_ring(eta.plus)
 
 
-def beta(xi: PhaseVector, eta: PhaseVector) -> Fp:
-    """Sum over cells of xi_plus(x) * eta_minus(x), as a field element.
+def beta(xi: PhaseVector, eta: PhaseVector) -> int:
+    """Sum over cells of xi_plus(x) * eta_minus(x), as an int in [0, p).
 
     Only the support intersection is walked; nothing is densified.
     """
@@ -120,12 +135,12 @@ def beta(xi: PhaseVector, eta: PhaseVector) -> Fp:
         total = sum(c * a[e] for e, c in b.items() if e in a)
     else:
         total = sum(c * b[e] for e, c in a.items() if e in b)
-    return Fp(total, xi.p)
+    return total % xi.p
 
 
-def sigma(xi: PhaseVector, eta: PhaseVector) -> Fp:
-    """The commutation form beta(xi, eta) - beta(eta, xi)."""
-    return beta(xi, eta) - beta(eta, xi)
+def sigma(xi: PhaseVector, eta: PhaseVector) -> int:
+    """The commutation form beta(xi, eta) - beta(eta, xi), as an int in [0, p)."""
+    return (beta(xi, eta) - beta(eta, xi)) % xi.p
 
 
 def form_sigma_poly(xi: PhaseVector, eta: PhaseVector) -> LaurentPoly:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .ffield import Fp, check_prime, inv_mod
+from .ffield import check_prime, inv_mod
 from .laurent import LaurentPoly
 from .phasespace import PhaseVector, form_sigma_poly
 
@@ -277,10 +277,6 @@ def upper_shear_g(p, n, c=1) -> ScaMatrix:
 def local_f(p, c) -> ScaMatrix:
     """Single-cell automaton ((0, c), (-c^-1, 0)); requires c != 0."""
     check_prime(p)
-    if isinstance(c, Fp):
-        if c.p != p:
-            raise ValueError(f"modulus mismatch: {c.p} vs {p}")
-        c = c.value
     c = int(c) % p
     if c == 0:
         raise ValueError("local automaton needs an invertible coefficient")

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from cqca import LaurentPoly, identity, local_f, shear_g, shift
-from cqca.cli import PolyParseError, main, parse_poly, render_poly
+from cqca.cli import PolyParseError, main, parse_poly
 
 
 def write_matrix(tmp_path, s, name="m.json"):
@@ -71,7 +71,7 @@ def test_render_parse_round_trip_fuzz():
             e = tuple(rng.randrange(-5, 6) for _ in range(d))
             terms[e] = rng.randrange(p)
         poly = LaurentPoly(p, d, terms)
-        assert parse_poly(render_poly(poly), p, d) == poly
+        assert parse_poly(str(poly), p, d) == poly
 
 
 # -- verify / classify --------------------------------------------------------------

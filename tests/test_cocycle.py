@@ -236,8 +236,8 @@ def test_composition_consistency():
                 xi = rand_vector(rng, p, radius=1)
                 eta = rand_vector(rng, p, radius=1)
                 corr = (
-                    beta(xi, eta).value
-                    - beta(st.apply(xi), st.apply(eta)).value
+                    beta(xi, eta)
+                    - beta(st.apply(xi), st.apply(eta))
                 ) % p
                 expected = (
                     psi(xi).numerator + psi(eta).numerator + step * corr

@@ -1,10 +1,8 @@
-"""Tests for modular arithmetic and the prime field wrapper."""
-
-import random
+"""Tests for modular arithmetic: primality and inverses mod p."""
 
 import pytest
 
-from cqca import Fp, check_prime, inv_mod, is_prime
+from cqca import check_prime, inv_mod, is_prime
 
 
 def test_is_prime_small_table():
@@ -30,90 +28,11 @@ def test_check_prime_rejects_bad_moduli():
 
 
 def test_inv_mod_matches_definition():
-    for p in (2, 3, 5, 7, 11, 31):
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
         for a in range(1, p):
             assert inv_mod(a, p) * a % p == 1
+            assert inv_mod(inv_mod(a, p), p) == a
     with pytest.raises(ZeroDivisionError):
         inv_mod(0, 5)
     with pytest.raises(ZeroDivisionError):
         inv_mod(10, 5)
-
-
-def test_field_axioms_exhaustive():
-    for p in (2, 3, 5, 7):
-        elems = [Fp(v, p) for v in range(p)]
-        zero, one = Fp(0, p), Fp(1, p)
-        for a in elems:
-            assert a + zero == a
-            assert a * one == a
-            assert a + (-a) == zero
-            if a != zero:
-                assert a * a.inverse() == one
-                assert (one / a) * a == one
-            for b in elems:
-                assert a + b == b + a
-                assert a * b == b * a
-                assert a - b == a + (-b)
-                for c in elems:
-                    assert (a + b) + c == a + (b + c)
-                    assert (a * b) * c == a * (b * c)
-                    assert a * (b + c) == a * b + a * c
-
-
-def test_double_inverse_is_identity():
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
-        for a in range(1, p):
-            x = Fp(a, p)
-            assert x.inverse().inverse() == x
-
-
-def test_pow_matches_repeated_multiplication():
-    rng = random.Random(101)
-    for _ in range(300):
-        p = rng.choice([2, 3, 5, 7, 11])
-        a = Fp(rng.randrange(p), p)
-        n = rng.randrange(0, 12)
-        acc = Fp(1, p)
-        for _ in range(n):
-            acc = acc * a
-        assert a ** n == acc
-        if a != 0:
-            assert a ** -1 == a.inverse()
-            assert a ** -n == (a.inverse()) ** n
-
-
-def test_int_operands_reduce_mod_p():
-    x = Fp(7, 5)
-    assert x == Fp(2, 5)
-    assert x == 2
-    assert x == -3
-    assert int(x) == 2
-    assert x + 4 == Fp(1, 5)
-    assert 4 + x == Fp(1, 5)
-    assert 1 - x == Fp(4, 5)
-    assert 3 * x == Fp(1, 5)
-    assert 1 / Fp(3, 5) == Fp(2, 5)
-
-
-def test_truthiness_and_hash():
-    assert bool(Fp(0, 3)) is False
-    assert bool(Fp(2, 3)) is True
-    assert hash(Fp(2, 5)) == hash(Fp(7, 5))
-    assert Fp(2, 5) != Fp(2, 7)
-    assert len({Fp(1, 3), Fp(4, 3), Fp(2, 3)}) == 2
-
-
-def test_mixed_modulus_rejected():
-    with pytest.raises(ValueError):
-        Fp(1, 2) + Fp(1, 3)
-    with pytest.raises(ValueError):
-        Fp(1, 2) * Fp(1, 3)
-    with pytest.raises(ValueError):
-        Fp(Fp(1, 2), 3)
-
-
-def test_non_int_values_rejected():
-    with pytest.raises(TypeError):
-        Fp(1.5, 3)
-    with pytest.raises(TypeError):
-        Fp(True, 3)

@@ -1,5 +1,6 @@
 """Tests for sparse Laurent polynomial arithmetic and the palindrome subring."""
 
+import itertools
 import random
 
 import pytest
@@ -38,6 +39,14 @@ def rand_poly(rng, p, d=1, max_terms=4, span=3):
         e = tuple(rng.randint(-span, span) for _ in range(d))
         terms[e] = rng.randint(0, p - 1)
     return LaurentPoly(p, d, terms)
+
+
+def box_poly(rng, p, spans, lo, coeff=None):
+    """Nonzero coefficient on every cell of the box lo .. lo + spans."""
+    terms = {}
+    for e in itertools.product(*(range(a, a + s + 1) for a, s in zip(lo, spans))):
+        terms[e] = coeff if coeff is not None else rng.randint(1, p - 1)
+    return LaurentPoly(p, len(spans), terms)
 
 
 def rand_palindrome(rng, p, half_span):
@@ -203,6 +212,55 @@ def test_mul_matches_oracle_randomized():
         f = rand_poly(rng, p, d, max_terms=5, span=span)
         g = rand_poly(rng, p, d, max_terms=5, span=span)
         assert f * g == oracle_mul(f, g)
+
+    # Full boxes take the dense path in any number of variables, including
+    # 2-D windows whose rows differ in width (the Kronecker padding).
+    for _ in range(300):
+        p = rng.choice([2, 3, 5, 17])
+        d = rng.choice([1, 2, 2, 3])
+        f, g = (
+            box_poly(
+                rng, p, [rng.randint(0, 5) for _ in range(d)], [rng.randint(-3, 3) for _ in range(d)]
+            )
+            for _ in range(2)
+        )
+        if len(f.terms) > 1 and len(g.terms) > 1:
+            assert f._mul_dense(g) == oracle_mul(f, g)
+        assert f * g == oracle_mul(f, g)
+
+    # The int64 accumulation edge: the largest prime below the dense modulus
+    # cap, windows at the product budget, every coefficient p - 1.  Since
+    # (p-1)^2 = 1 mod p, each product coefficient is the number of pairs
+    # landing on it.
+    p = 1048573
+    for shape in ([2048], [32, 32]):
+        full = box_poly(rng, p, [n - 1 for n in shape], [0] * len(shape), coeff=p - 1)
+        product = full._mul_dense(full)
+        expected = {}
+        for e in product.terms:
+            count = 1
+            for k, n in zip(e, shape):
+                count *= min(k + 1, 2 * n - 1 - k)
+            expected[e] = count % p
+        assert len(product.terms) == len(expected) > 0
+        assert product.terms == expected
+        assert full * full == product
+
+    # Hollow pairs stay on the sparse walk.
+    for _ in range(50):
+        p = rng.choice([2, 3, 5])
+        d = rng.choice([1, 2])
+        f = rand_poly(rng, p, d, max_terms=5, span=3) + LaurentPoly.monomial(p, d, (1000,) * d)
+        g = rand_poly(rng, p, d, max_terms=5, span=3) + LaurentPoly.monomial(p, d, (-999,) * d)
+        if len(f.terms) > 1 and len(g.terms) > 1:
+            assert f._mul_dense(g) is None
+        assert f * g == oracle_mul(f, g)
+
+    # So do contiguous supports whose exponents do not fit an int64 window.
+    for p, shift in ((3, 2**62), (5, -(2**70))):
+        f = box_poly(rng, p, [4], [shift])
+        assert f._mul_dense(f) is None
+        assert f * f == oracle_mul(f, f)
 
 
 def test_ring_axioms_randomized():

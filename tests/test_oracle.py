@@ -119,7 +119,7 @@ def test_weyl_relation_unit_pair():
         w = Window(p, 0, 0)
         xi = PhaseVector.e_plus(p)
         eta = PhaseVector.e_minus(p)
-        assert beta(xi, eta).value == 1
+        assert beta(xi, eta) == 1
         assert check_weyl_relation(xi, eta, w)
         lhs = weyl_matrix(xi + eta, w)
         eps = np.exp(2j * np.pi / p)
@@ -160,7 +160,7 @@ def test_commutation_exponent_matches_sigma():
                 LaurentPoly(p, 1, {x: rng.randrange(p) for x in range(3)}),
                 LaurentPoly(p, 1, {x: rng.randrange(p) for x in range(3)}),
             )
-            assert commutation_exponent(xi, eta, w) == sigma(xi, eta).value
+            assert commutation_exponent(xi, eta, w) == sigma(xi, eta)
 
 
 def test_commuting_operators_report_zero_exponent():
