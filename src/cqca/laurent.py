@@ -19,6 +19,8 @@ is just faster for the contiguous supports that dominate here.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .ffield import check_prime, inv_mod
@@ -36,8 +38,8 @@ __all__ = [
 NEG_INF = float("-inf")
 
 # Dense-path guards.  A dense product costs len(a)*len(b) int64 multiply-adds
-# over the laid-out windows; beyond the budget (or for very hollow supports)
-# the sparse walk wins.  The modulus cap keeps int64 accumulation exact: each
+# over the laid-out windows; beyond the budget (or for supports that fill
+# little of their bounding box) the sparse walk wins.  The modulus cap keeps int64 accumulation exact: each
 # output cell sums at most min(len) <= 2^11 products below 2^40.  The exponent
 # cap keeps every product exponent inside int64.
 _DENSE_BUDGET = 1 << 22
@@ -239,8 +241,8 @@ class LaurentPoly:
         len_b = sum(x * s for x, s in zip(span_b, strides)) + 1
         if (
             len_a * len_b > _DENSE_BUDGET
-            or len_a > 16 * len(self.terms) + 64
-            or len_b > 16 * len(other.terms) + 64
+            or math.prod(x + 1 for x in span_a) > 16 * len(self.terms) + 64
+            or math.prod(x + 1 for x in span_b) > 16 * len(other.terms) + 64
         ):
             return None
         d = self.d
