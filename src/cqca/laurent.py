@@ -225,6 +225,7 @@ class LaurentPoly:
         carries into the next row.  One 1-D convolution then yields the
         product window for any number of variables.
         """
+        d = self.d
         cols_a = tuple(zip(*self.terms))
         cols_b = tuple(zip(*other.terms))
         lo_a = [min(c) for c in cols_a]
@@ -234,8 +235,8 @@ class LaurentPoly:
         if max(map(abs, lo_a + lo_b)) + max(span_a + span_b) >= _DENSE_MAX_EXP:
             return None
         shape = [x + y + 1 for x, y in zip(span_a, span_b)]
-        strides = [1] * self.d
-        for i in range(self.d - 1, 0, -1):
+        strides = [1] * d
+        for i in range(d - 1, 0, -1):
             strides[i - 1] = strides[i] * shape[i]
         len_a = sum(x * s for x, s in zip(span_a, strides)) + 1
         len_b = sum(x * s for x, s in zip(span_b, strides)) + 1
@@ -245,7 +246,6 @@ class LaurentPoly:
             or math.prod(x + 1 for x in span_b) > 16 * len(other.terms) + 64
         ):
             return None
-        d = self.d
 
         def layout(poly, cols, lo, length):
             exps = np.array(cols, dtype=np.int64)
@@ -262,7 +262,7 @@ class LaurentPoly:
         nz = conv.nonzero()[0]
         base = [x + y for x, y in zip(lo_a, lo_b)]
         if d == 1:
-            keys = zip((nz + base[0]).tolist())
+            keys = zip((nz + base[0]).tolist())  # zip over one list yields 1-tuples
         else:
             keys = zip(*(np.array(np.unravel_index(nz, shape)) + np.array(base)[:, None]).tolist())
         return LaurentPoly._raw(self.p, d, dict(zip(keys, conv[nz].tolist())))
