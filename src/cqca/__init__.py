@@ -21,6 +21,7 @@ from .laurent import (
 from .phasespace import PhaseVector, beta, form_sigma_poly, sigma
 from .sca import (
     FactorizationMismatch,
+    InvariantViolation,
     NotSymplectic,
     ScaMatrix,
     SymplecticCertificate,
@@ -76,6 +77,7 @@ __all__ = [
     "SymplecticCertificate",
     "NotSymplectic",
     "FactorizationMismatch",
+    "InvariantViolation",
     "classify",
     "classify_or_none",
     "identity",

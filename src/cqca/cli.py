@@ -15,15 +15,19 @@ rejected.  Rendering is deterministic: terms in ascending exponent order,
 coefficients reduced to [0, p).
 
 Exit codes: 0 success, 1 domain rejection (non-symplectic input, failed
-validation), 2 malformed input (syntax errors, bad JSON, flag/JSON
-disagreement).
+validation, a broken runtime invariant), 2 malformed input (syntax errors,
+bad JSON, flag/JSON disagreement, moduli beyond the primality cap, pgm
+images over _PGM_MAX_PIXELS).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
+
+import numpy as np
 
 from . import factor as factor_mod
 from . import sca
@@ -291,72 +295,46 @@ def cmd_selftest(args) -> int:
 # -- evolve ----------------------------------------------------------------------
 
 
-def _trace_rows(s: sca.ScaMatrix, xi0: PhaseVector, steps: int):
-    """Rows (t, x, plus, minus) over the orbit; x is an int for d == 1."""
-    rows = []
-    radius = s.radius()
-    sup0 = xi0.support()
-    xi = xi0
-    for t in range(steps + 1):
-        for x in xi.support():
-            rows.append((t, x, xi.plus.coeff(x), xi.minus.coeff(x)))
-            if sup0 and s.d == 1:
-                # Light cone: nothing may leak past the initial support by more
-                # than t * radius cells.
-                assert sup0[0] - t * radius <= x <= sup0[-1] + t * radius
-        if t < steps:
-            xi = s.apply(xi)
-    return rows
-
-
-def _format_site(x, d: int) -> str:
-    if d == 1:
-        return str(x)
-    return ":".join(str(v) for v in x)
-
-
-def _emit_csv(rows, d: int, out) -> None:
+def _emit_csv(slices, d: int, out) -> None:
     out.write("t,x,plus,minus\n")
-    for t, x, a, b in rows:
-        out.write(f"{t},{_format_site(x, d)},{a},{b}\n")
-
-
-_ASCII_GLYPHS = {(False, False): " ", (True, False): "+", (False, True): "-", (True, True): "*"}
+    site = "%d" if d == 1 else ":".join(["%d"] * d)
+    for t, (cells, plus, minus) in enumerate(slices):
+        # One %-format of the row template repeated n times, not one f-string per row.
+        row = f"{t},{site},%d,%d\n"
+        values = np.column_stack((cells, plus, minus)).ravel().tolist()
+        out.write((row * len(cells)) % tuple(values))
 
 
 def _ascii_window(s, xi0, steps):
+    """Columns lo..hi of the ascii/pgm grid: the start support widened by the light cone."""
     radius = s.radius()
     sup0 = xi0.support()
     lo0, hi0 = (sup0[0], sup0[-1]) if sup0 else (0, 0)
     return lo0 - radius * steps, hi0 + radius * steps
 
 
-def _emit_ascii(rows, lo: int, hi: int, steps: int, out) -> None:
-    grid = {}
-    for t, x, a, b in rows:
-        grid[(t, x)] = (a != 0, b != 0)
-    for t in range(steps + 1):
-        line = "".join(
-            _ASCII_GLYPHS[grid.get((t, x), (False, False))] for x in range(lo, hi + 1)
-        )
-        out.write(line + "\n")
+def _grid_rows(slices, lo: int, hi: int, levels):
+    """One bytes row per slice over columns lo..hi, levels indexed by plus + 2 * minus."""
+    for cells, plus, minus in slices:
+        row = np.zeros(hi - lo + 1, dtype=np.uint8)
+        row[cells - lo] = (plus != 0) + 2 * (minus != 0)
+        yield levels[row].tobytes()
 
 
-_PGM_LEVELS = {(False, False): 0, (True, False): 96, (False, True): 160, (True, True): 255}
+_ASCII_GLYPHS = np.frombuffer(b" +-*", dtype=np.uint8)  # empty, plus, minus, both
+_PGM_LEVELS = np.array([0, 96, 160, 255], dtype=np.uint8)
+_PGM_MAX_PIXELS = 1 << 24
 
 
-def _emit_pgm(rows, lo: int, hi: int, steps: int, out) -> None:
-    width = hi - lo + 1
-    height = steps + 1
-    grid = {}
-    for t, x, a, b in rows:
-        grid[(t, x)] = (a != 0, b != 0)
-    out.write(f"P5 {width} {height} 255\n".encode("ascii"))
-    data = bytearray()
-    for t in range(height):
-        for x in range(lo, hi + 1):
-            data.append(_PGM_LEVELS[grid.get((t, x), (False, False))])
-    out.write(bytes(data))
+def _emit_ascii(slices, lo: int, hi: int, out) -> None:
+    for row in _grid_rows(slices, lo, hi, _ASCII_GLYPHS):
+        out.write(row.decode("ascii") + "\n")
+
+
+def _emit_pgm(slices, lo: int, hi: int, steps: int, out) -> None:
+    out.write(f"P5 {hi - lo + 1} {steps + 1} 255\n".encode("ascii"))
+    for row in _grid_rows(slices, lo, hi, _PGM_LEVELS):
+        out.write(row)
 
 
 def cmd_evolve(args) -> int:
@@ -370,39 +348,37 @@ def cmd_evolve(args) -> int:
     fmt = args.format
     if fmt in ("ascii", "pgm") and d != 1:
         raise ValueError(f"format {fmt!r} is one-dimensional; use csv for d = {d}")
-    rows = _trace_rows(s, xi0, steps)
-
-    if fmt == "ascii":
+    if fmt != "csv":
         lo, hi = _ascii_window(s, xi0, steps)
-        if hi - lo + 1 > 201:
-            print(
-                f"warning: ascii window of {hi - lo + 1} columns exceeds 201;"
-                " falling back to csv",
-                file=sys.stderr,
-            )
-            fmt = "csv"
-
-    if fmt == "pgm":
-        lo, hi = _ascii_window(s, xi0, steps)
-        if args.out:
-            with open(args.out, "wb") as fh:
-                _emit_pgm(rows, lo, hi, steps, fh)
-        else:
-            _emit_pgm(rows, lo, hi, steps, sys.stdout.buffer)
-            sys.stdout.buffer.flush()
-        return 0
-
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            if fmt == "csv":
-                _emit_csv(rows, d, fh)
-            else:
-                _emit_ascii(rows, lo, hi, steps, fh)
+        width = hi - lo + 1
+    if fmt == "ascii" and width > 201:
+        print(
+            f"warning: ascii window of {width} columns exceeds 201;"
+            " falling back to csv",
+            file=sys.stderr,
+        )
+        fmt = "csv"
+    if fmt == "pgm" and width * (steps + 1) > _PGM_MAX_PIXELS:
+        raise ValueError(
+            f"pgm image of {width} x {steps + 1} pixels exceeds {_PGM_MAX_PIXELS}"
+        )
+    slices = s.orbit(xi0, steps)
+    stdout = sys.stdout.buffer if fmt == "pgm" else sys.stdout
+    if not args.out:
+        sink = contextlib.nullcontext(stdout)
+    elif fmt == "pgm":
+        sink = open(args.out, "wb")
     else:
+        sink = open(args.out, "w", encoding="utf-8")
+    with sink as out:
         if fmt == "csv":
-            _emit_csv(rows, d, sys.stdout)
+            _emit_csv(slices, d, out)
+        elif fmt == "ascii":
+            _emit_ascii(slices, lo, hi, out)
         else:
-            _emit_ascii(rows, lo, hi, steps, sys.stdout)
+            _emit_pgm(slices, lo, hi, steps, out)
+    if not args.out:
+        stdout.flush()
     return 0
 
 
@@ -471,7 +447,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (sca.NotSymplectic, sca.FactorizationMismatch) as exc:
+    except (sca.NotSymplectic, sca.FactorizationMismatch, sca.InvariantViolation) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (factor_mod.NotOneDimensional, NoValidPhase) as exc:

@@ -151,9 +151,8 @@ def factorize(s: sca.ScaMatrix, step_hook=None) -> GeneratorWord:
         lower_l = r
         lower_r = lower_r - q * upper_r
     # Triangular tail ((c, b), (0, c^-1)); the unit c must be a constant.
-    assert upper_l.is_constant() and not upper_l.is_zero(), (
-        f"Euclidean tail left a non-constant unit {upper_l}"
-    )
+    if not upper_l.is_constant() or upper_l.is_zero():
+        raise sca.InvariantViolation(f"Euclidean tail left a non-constant unit {upper_l}")
     c = upper_l.constant_coeff()
     if c != 1:
         letters.append(Local(c))

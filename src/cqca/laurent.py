@@ -38,13 +38,22 @@ __all__ = [
 NEG_INF = float("-inf")
 
 # Dense-path guards.  A dense product costs len(a)*len(b) int64 multiply-adds
-# over the laid-out windows; beyond the budget (or for supports that fill
-# little of their bounding box) the sparse walk wins.  The modulus cap keeps int64 accumulation exact: each
-# output cell sums at most min(len) <= 2^11 products below 2^40.  The exponent
-# cap keeps every product exponent inside int64.
+# over the laid-out windows; beyond the budget (or for hollow supports, see
+# _is_hollow) the sparse walk wins.  The modulus cap keeps int64 accumulation
+# exact: each output cell sums at most min(len) <= 2^11 products below 2^40.
+# The exponent cap keeps every product exponent inside int64.
 _DENSE_BUDGET = 1 << 22
 _DENSE_MAX_P = 1 << 20
 _DENSE_MAX_EXP = 1 << 62
+
+
+def _is_hollow(spans, n_terms) -> bool:
+    """Whether a support fills too little of its bounding box for a dense window.
+
+    spans holds the exponent range (max - min) per variable; the box is
+    hollow when it has more than 16 cells per term, plus slack.
+    """
+    return math.prod(s + 1 for s in spans) > 16 * n_terms + 64
 
 
 def _as_exponent(x, d):
@@ -242,8 +251,8 @@ class LaurentPoly:
         len_b = sum(x * s for x, s in zip(span_b, strides)) + 1
         if (
             len_a * len_b > _DENSE_BUDGET
-            or math.prod(x + 1 for x in span_a) > 16 * len(self.terms) + 64
-            or math.prod(x + 1 for x in span_b) > 16 * len(other.terms) + 64
+            or _is_hollow(span_a, len(self.terms))
+            or _is_hollow(span_b, len(other.terms))
         ):
             return None
 

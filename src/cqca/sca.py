@@ -11,6 +11,9 @@ purpose so the test suite can cross-check them against each other.
 Named constructors cover the generating zoo: lattice shifts, the local
 cell transformations f_c, and the shear automata g_n that propagate
 plus-excitations to cells -n and n.
+
+ScaMatrix.orbit() yields the space-time trace of a vector, one time slice
+of int64 arrays at a time.
 """
 
 from __future__ import annotations
@@ -18,13 +21,16 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
+import numpy as np
+
 from .ffield import check_prime, inv_mod
-from .laurent import LaurentPoly
+from .laurent import _DENSE_MAX_EXP, _DENSE_MAX_P, LaurentPoly, _is_hollow
 from .phasespace import PhaseVector, form_sigma_poly
 
 __all__ = [
     "NotSymplectic",
     "FactorizationMismatch",
+    "InvariantViolation",
     "ScaMatrix",
     "SymplecticCertificate",
     "identity",
@@ -43,6 +49,10 @@ class NotSymplectic(ValueError):
 
 class FactorizationMismatch(ValueError):
     """Raised when recipe inputs do not satisfy f2 * h2 = 1 - f * h."""
+
+
+class InvariantViolation(RuntimeError):
+    """Raised when a computed result breaks an identity the theory guarantees."""
 
 
 class ScaMatrix:
@@ -91,6 +101,74 @@ class ScaMatrix:
             self.pp * xi.plus + self.pm * xi.minus,
             self.mp * xi.plus + self.mm * xi.minus,
         )
+
+    def orbit(self, xi: PhaseVector, steps: int):
+        """Iterator over the time slices of xi, s xi, ..., s^steps xi.
+
+        A slice is (cells, plus, minus): int64 arrays sorted by cell that hold
+        the support and its coefficients (Python ints in object arrays when
+        p > 2^63); cells has shape (n,) for d == 1 and (n, d) otherwise.
+        One-variable orbits step on coefficient windows when _orbit_windows
+        allows it, every other orbit steps with apply().  A slice with a cell
+        more than t * radius outside the start support raises
+        InvariantViolation before it is yielded.
+        """
+        if not isinstance(xi, PhaseVector):
+            raise TypeError("orbit expects a phase vector")
+        self.pp._require_same_ring(xi.plus)
+        if steps < 0:
+            raise ValueError("steps must be non-negative")
+        windows = self._orbit_windows(xi, steps)
+        if windows is None:
+            slices = self._apply_orbit(xi, steps)
+        else:
+            slices = _window_orbit(xi, steps, *windows)
+        return _light_cone_checked(slices, xi.support(), self.radius())
+
+    def _orbit_windows(self, xi: PhaseVector, steps: int):
+        """(lowest exponent, entry windows) for window stepping, or None for apply().
+
+        The window path needs d == 1, p within the dense cap, a nonzero start
+        and no hollow entry or start component.  The four entries become
+        int64 coefficient windows over their common exponent range.
+        """
+        p = self.p
+        if self.d != 1 or p > _DENSE_MAX_P or xi.is_zero():
+            return None
+        entries = (self.pp, self.pm, self.mp, self.mm)
+        supports = [[e for (e,) in poly.terms] for poly in entries + (xi.plus, xi.minus)]
+        if any(es and _is_hollow((max(es) - min(es),), len(es)) for es in supports):
+            return None
+        exps = [e for es in supports[:4] for e in es]
+        if not exps:
+            return None
+        lo, hi = min(exps), max(exps)
+        length = hi - lo + 1
+        # int64 bound: one step adds two convolutions, and each of their cells
+        # sums at most `length` products of coefficients below p, so every
+        # intermediate is below 2 * length * (p - 1)^2 < 2^63.
+        if 2 * length * (p - 1) ** 2 >= 1 << 63:
+            return None
+        reach = max(abs(e) for es in supports[4:] for e in es)
+        if reach + steps * max(-lo, hi) >= _DENSE_MAX_EXP:
+            return None
+        return lo, tuple(_coeff_window(e, lo, length) for e in entries)
+
+    def _apply_orbit(self, xi: PhaseVector, steps: int):
+        """Slices of an orbit stepped with apply() on the sparse dicts."""
+        d = self.d
+        dtype = np.int64 if self.p <= 1 << 63 else object
+        for t in range(steps + 1):
+            plus, minus = xi.plus.terms, xi.minus.terms
+            keys = sorted(plus.keys() | minus.keys())
+            cells = np.array(keys, dtype=np.int64).reshape(len(keys), d)
+            yield (
+                cells[:, 0] if d == 1 else cells,
+                np.array([plus.get(k, 0) for k in keys], dtype=dtype),
+                np.array([minus.get(k, 0) for k in keys], dtype=dtype),
+            )
+            if t < steps:
+                xi = self.apply(xi)
 
     def compose(self, other: "ScaMatrix") -> "ScaMatrix":
         """Matrix product self @ other: apply other first, then self."""
@@ -192,6 +270,73 @@ class ScaMatrix:
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict())
+
+
+# -- orbits --------------------------------------------------------------------
+
+
+def _coeff_window(poly: LaurentPoly, lo: int, length: int):
+    """int64 coefficients of a one-variable polynomial at exponents lo .. lo + length - 1."""
+    window = np.zeros(length, dtype=np.int64)
+    n = len(poly.terms)
+    exps = np.fromiter((e for (e,) in poly.terms), np.int64, n)
+    window[exps - lo] = np.fromiter(poly.terms.values(), np.int64, n)
+    return window
+
+
+def _window_orbit(xi: PhaseVector, steps: int, lo: int, entries):
+    """Slices of a one-variable orbit stepped on int64 coefficient windows.
+
+    The state is (offset, plus window, minus window), trimmed each step so
+    that a nonzero coefficient sits at both ends.  A step convolves the
+    windows with the entry windows, whose first cell is the exponent lo.
+    """
+    pp, pm, mp, mm = entries
+    p = xi.p
+    support = xi.support()
+    offset = support[0]
+    length = support[-1] - offset + 1
+    plus = _coeff_window(xi.plus, offset, length)
+    minus = _coeff_window(xi.minus, offset, length)
+    for t in range(steps + 1):
+        nz = np.flatnonzero(plus | minus)
+        if nz.size:
+            first = int(nz[0])
+            plus = plus[first : nz[-1] + 1]
+            minus = minus[first : nz[-1] + 1]
+            offset += first
+            nz -= first
+        yield nz + offset, plus[nz], minus[nz]
+        if t < steps and nz.size:
+            new_plus = np.convolve(plus, pp)
+            new_plus += np.convolve(minus, pm)
+            new_plus %= p
+            new_minus = np.convolve(plus, mp)
+            new_minus += np.convolve(minus, mm)
+            new_minus %= p
+            plus, minus = new_plus, new_minus
+            offset += lo
+
+
+def _light_cone_checked(slices, start, radius: int):
+    """Pass slices through, checking that slice t lies within t * radius of start."""
+    if not start:
+        yield from slices
+        return
+    box = np.array(start, dtype=np.int64)
+    lo, hi = box.min(axis=0), box.max(axis=0)
+    for t, sl in enumerate(slices):
+        cells = sl[0]
+        # Sorted one-variable cells can only leave the cone at either end.
+        ends = cells[[0, -1]] if cells.ndim == 1 and len(cells) else cells
+        outside = (ends < lo - t * radius) | (ends > hi + t * radius)
+        if outside.any():
+            cell = ends[outside.reshape(len(ends), -1).any(axis=1)][0].tolist()
+            raise InvariantViolation(
+                f"light cone broken at t = {t}: cell {cell} lies more than"
+                f" {t * radius} cells outside the start support"
+            )
+        yield sl
 
 
 @dataclass(frozen=True)

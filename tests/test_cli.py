@@ -3,10 +3,11 @@
 import io
 import json
 import random
+import time
 
 import pytest
 
-from cqca import LaurentPoly, identity, local_f, shear_g, shift
+from cqca import LaurentPoly, ScaMatrix, identity, local_f, shear_g, shift
 from cqca.cli import PolyParseError, main, parse_poly
 
 
@@ -82,6 +83,18 @@ def test_verify_accepts_shear(tmp_path, capsys):
     code, out, _ = run(capsys, ["verify", path])
     assert code == 0
     assert json.loads(out) == {"symplectic": True}
+
+
+def test_verify_large_prime_modulus(tmp_path, capsys):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"p": 10**18 + 3, "d": 1, "entries": [["1", "0"], ["u + u^-1", "1"]]}))
+    start = time.perf_counter()
+    code, out, _ = run(capsys, ["verify", str(path)])
+    assert code == 0 and json.loads(out) == {"symplectic": True}
+    assert time.perf_counter() - start < 1
+    path.write_text(json.dumps({"p": 10**25 + 13, "d": 1, "entries": [["1", "0"], ["0", "1"]]}))
+    code, _, err = run(capsys, ["verify", str(path)])
+    assert code == 2 and "primality cap" in err
 
 
 def test_verify_rejects_non_symplectic(tmp_path, capsys):
@@ -305,6 +318,23 @@ def test_evolve_pgm_bytes(tmp_path, capsys):
     assert code == 0
     data = out_path.read_bytes()
     assert data == b"P5 3 2 255\n" + bytes([0, 96, 0, 160, 96, 160])
+
+
+def test_evolve_pgm_cap_rejects_before_stepping(tmp_path, capsys):
+    path = write_matrix(tmp_path, shear_g(2, 2**30))
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["evolve", path, "--plus", "1", "--format", "pgm"])
+    assert code == 2
+    assert out == "" and "exceeds 16777216" in err
+    assert time.perf_counter() - start < 5
+
+
+def test_evolve_light_cone_violation_exits_1(tmp_path, capsys, monkeypatch):
+    path = write_matrix(tmp_path, shear_g(2, 1, 1))
+    monkeypatch.setattr(ScaMatrix, "radius", lambda self: 0)
+    code, _, err = run(capsys, ["evolve", path, "--plus", "1", "--steps", "3"])
+    assert code == 1
+    assert "light cone broken at t = 1: cell -1" in err
 
 
 def test_evolve_rejects_non_symplectic(tmp_path, capsys):

@@ -6,6 +6,7 @@ import pytest
 
 from cqca import (
     GeneratorWord,
+    InvariantViolation,
     LaurentPoly,
     Local,
     NotOneDimensional,
@@ -13,6 +14,7 @@ from cqca import (
     ScaMatrix,
     Shear,
     Shift,
+    SymplecticCertificate,
     UpperShear,
     classify,
     factorize,
@@ -198,6 +200,17 @@ def test_factorize_upper_triangular_core():
         word = factorize(m)
         assert multiply_word(word) == m
         assert all(isinstance(let, UpperShear) for let in word.letters)
+
+
+def test_factorize_raises_on_non_constant_tail(monkeypatch):
+    from cqca import factor
+
+    p = 3
+    zero = LaurentPoly.zero(p, 1)
+    core = ScaMatrix(poly(p, {-1: 1, 0: 1, 1: 1}), zero, zero, LaurentPoly.one(p, 1))
+    monkeypatch.setattr(factor.sca, "classify", lambda s: SymplecticCertificate((0,), core))
+    with pytest.raises(InvariantViolation, match=r"non-constant unit u\^-1 \+ 1 \+ u"):
+        factorize(identity(p))
 
 
 # -- serialization ---------------------------------------------------------------

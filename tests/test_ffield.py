@@ -3,12 +3,17 @@
 import pytest
 
 from cqca import check_prime, inv_mod, is_prime
+from cqca.ffield import PRIME_CAP
 
 
 def test_is_prime_small_table():
     primes = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31}
     for n in range(-2, 32):
         assert is_prime(n) == (n in primes)
+    assert is_prime(10**18 + 3)
+    assert is_prime(1048573) and is_prime(2147483647)
+    assert not is_prime(3215031751)  # strong pseudoprime to the bases 2, 3, 5, 7
+    assert not is_prime(561)  # Carmichael number
 
 
 def test_check_prime_returns_value():
@@ -17,7 +22,7 @@ def test_check_prime_returns_value():
 
 
 def test_check_prime_rejects_bad_moduli():
-    for bad in (0, 1, 4, 6, 9, 100, -7):
+    for bad in (0, 1, 4, 6, 9, 100, -7, 3215031751, PRIME_CAP + 4):
         with pytest.raises(ValueError):
             check_prime(bad)
     # bool is an int subclass but not an acceptable modulus

@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from cqca import (
@@ -77,6 +78,56 @@ def test_apply_local_rotates_components():
         assert out.minus == -(pow(c, -1, p) * xi.plus)
     out = local_f(2, 1).apply(PhaseVector.e_plus(2))
     assert out.plus.is_zero() and out.minus == LaurentPoly.one(2)
+
+
+def test_orbit_matches_apply_stepping():
+    """Every orbit slice equals the matching apply() iterate, on both stepping paths."""
+    rng = random.Random(88)
+    cases = []  # (matrix, start, steps, steps on windows)
+    for p in (2, 3, 5):
+        for _ in range(4):
+            s = multiply_word(random_word(p, rng.randint(1, 10), 3, seed=rng.random()))
+            xi = PhaseVector.random(rng, p, range(-3, 4))
+            cases.append((s, xi if not xi.is_zero() else PhaseVector.e_minus(p), 12, True))
+    # Every coefficient p - 1 at the largest prime of the window path.
+    q = 1048573
+    full = poly(q, {e: q - 1 for e in range(-3, 4)})
+    cases.append((ScaMatrix(full, full, full, full), PhaseVector(full, full), 6, True))
+    cases.append((shear_g(3, 2, 1), PhaseVector.e_plus(3), 0, True))
+    # Dict path: modulus above the window cap, hollow entries, hollow start, zero start.
+    big = 2147483647
+    cases.append((shear_g(big, 1, 5), PhaseVector(poly(big, {-5: 1, 7: 1}), poly(big, {0: 1})), 8, False))
+    cases.append((shear_g(5, 5**3, 2), PhaseVector(poly(5, {-5: 1, 7: 1}), poly(5, {0: 3})), 5, False))
+    one2 = LaurentPoly.one(2, 1)
+    unit = ScaMatrix(poly(2, {big: 1, 0: 1}), LaurentPoly.zero(2, 1), LaurentPoly.zero(2, 1), one2)
+    cases.append((unit, PhaseVector(one2, one2), 4, False))
+    cases.append((shear_g(3, 1, 1), PhaseVector(poly(3, {-500: 1, 700: 2}), poly(3, {})), 5, False))
+    cases.append((shear_g(3, 1, 1), PhaseVector.zero(3), 5, False))
+    f = poly(3, {(1, 0): 1, (-1, 0): 1, (0, 1): 2, (0, -1): 2}, d=2)
+    s2 = from_recipe(f, LaurentPoly.constant(3, 2, 2))
+    box = [(x, y) for x in range(-1, 2) for y in range(-1, 2)]
+    cases.append((s2, PhaseVector.random(rng, 3, box, d=2), 5, False))
+    cases.append((s2, PhaseVector.zero(3, 2), 2, False))
+    # Coefficients beyond int64 travel as Python ints.
+    huge = 18446744073709551629
+    cases.append((shear_g(huge, 1, huge - 1), PhaseVector(poly(huge, {0: huge - 2}), poly(huge, {})), 4, False))
+
+    for s, xi, steps, windowed in cases:
+        assert (s._orbit_windows(xi, steps) is not None) == windowed
+        slices = list(s.orbit(xi, steps))
+        assert len(slices) == steps + 1
+        eta = xi
+        for t, (cells, plus, minus) in enumerate(slices):
+            n = len(plus)
+            assert cells.shape == ((n,) if s.d == 1 else (n, s.d))
+            assert cells.dtype == np.int64
+            assert plus.dtype == minus.dtype == (np.int64 if s.p <= 2**63 else object)
+            support = eta.support()
+            got = cells.tolist() if s.d == 1 else [tuple(c) for c in cells.tolist()]
+            assert got == support, (s, xi, t)
+            assert plus.tolist() == [eta.plus.coeff(x) for x in support]
+            assert minus.tolist() == [eta.minus.coeff(x) for x in support]
+            eta = s.apply(eta)
 
 
 # -- compose / det / inverse -------------------------------------------------------
