@@ -56,6 +56,15 @@ def _is_hollow(spans, n_terms) -> bool:
     return math.prod(s + 1 for s in spans) > 16 * n_terms + 64
 
 
+def _coeff_window(poly, lo, length):
+    """int64 coefficients of a one-variable polynomial at exponents lo .. lo + length - 1."""
+    window = np.zeros(length, dtype=np.int64)
+    n = len(poly.terms)
+    exps = np.fromiter((e for (e,) in poly.terms), np.int64, n)
+    window[exps - lo] = np.fromiter(poly.terms.values(), np.int64, n)
+    return window
+
+
 def _as_exponent(x, d):
     if isinstance(x, int) and not isinstance(x, bool):
         if d == 1:
@@ -257,11 +266,10 @@ class LaurentPoly:
             return None
 
         def layout(poly, cols, lo, length):
-            exps = np.array(cols, dtype=np.int64)
             if d == 1:
-                offsets = exps[0] - lo[0]
-            else:
-                offsets = np.array(strides) @ (exps - np.array(lo)[:, None])
+                return _coeff_window(poly, lo[0], length)
+            exps = np.array(cols, dtype=np.int64)
+            offsets = np.array(strides) @ (exps - np.array(lo)[:, None])
             window = np.zeros(length, dtype=np.int64)
             window[offsets] = np.fromiter(poly.terms.values(), np.int64, len(poly.terms))
             return window

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ffield import check_prime, inv_mod
-from .laurent import _DENSE_MAX_EXP, _DENSE_MAX_P, LaurentPoly, _is_hollow
+from .laurent import _DENSE_MAX_EXP, _DENSE_MAX_P, LaurentPoly, _coeff_window, _is_hollow
 from .phasespace import PhaseVector, form_sigma_poly
 
 __all__ = [
@@ -106,8 +106,9 @@ class ScaMatrix:
         """Iterator over the time slices of xi, s xi, ..., s^steps xi.
 
         A slice is (cells, plus, minus): int64 arrays sorted by cell that hold
-        the support and its coefficients (Python ints in object arrays when
-        p > 2^63); cells has shape (n,) for d == 1 and (n, d) otherwise.
+        the support and its coefficients (Python ints in object arrays for
+        coefficients when p > 2^63, and for cells when an exponent leaves
+        int64); cells has shape (n,) for d == 1 and (n, d) otherwise.
         One-variable orbits step on coefficient windows when _orbit_windows
         allows it, every other orbit steps with apply().  A slice with a cell
         more than t * radius outside the start support raises
@@ -129,17 +130,22 @@ class ScaMatrix:
         """(lowest exponent, entry windows) for window stepping, or None for apply().
 
         The window path needs d == 1, p within the dense cap, a nonzero start
-        and no hollow entry or start component.  The four entries become
-        int64 coefficient windows over their common exponent range.
+        and no hollow entry or start.  The start is judged on the support of
+        both components together, which is the window _window_orbit lays out.
+        The four entries become int64 coefficient windows over their common
+        exponent range.
         """
         p = self.p
         if self.d != 1 or p > _DENSE_MAX_P or xi.is_zero():
             return None
+        start = xi.support()
+        if _is_hollow((start[-1] - start[0],), len(start)):
+            return None
         entries = (self.pp, self.pm, self.mp, self.mm)
-        supports = [[e for (e,) in poly.terms] for poly in entries + (xi.plus, xi.minus)]
+        supports = [[e for (e,) in poly.terms] for poly in entries]
         if any(es and _is_hollow((max(es) - min(es),), len(es)) for es in supports):
             return None
-        exps = [e for es in supports[:4] for e in es]
+        exps = [e for es in supports for e in es]
         if not exps:
             return None
         lo, hi = min(exps), max(exps)
@@ -149,7 +155,7 @@ class ScaMatrix:
         # intermediate is below 2 * length * (p - 1)^2 < 2^63.
         if 2 * length * (p - 1) ** 2 >= 1 << 63:
             return None
-        reach = max(abs(e) for es in supports[4:] for e in es)
+        reach = max(-start[0], start[-1])
         if reach + steps * max(-lo, hi) >= _DENSE_MAX_EXP:
             return None
         return lo, tuple(_coeff_window(e, lo, length) for e in entries)
@@ -161,7 +167,11 @@ class ScaMatrix:
         for t in range(steps + 1):
             plus, minus = xi.plus.terms, xi.minus.terms
             keys = sorted(plus.keys() | minus.keys())
-            cells = np.array(keys, dtype=np.int64).reshape(len(keys), d)
+            try:
+                cells = np.array(keys, dtype=np.int64)
+            except OverflowError:
+                cells = np.array(keys, dtype=object)
+            cells = cells.reshape(len(keys), d)
             yield (
                 cells[:, 0] if d == 1 else cells,
                 np.array([plus.get(k, 0) for k in keys], dtype=dtype),
@@ -275,15 +285,6 @@ class ScaMatrix:
 # -- orbits --------------------------------------------------------------------
 
 
-def _coeff_window(poly: LaurentPoly, lo: int, length: int):
-    """int64 coefficients of a one-variable polynomial at exponents lo .. lo + length - 1."""
-    window = np.zeros(length, dtype=np.int64)
-    n = len(poly.terms)
-    exps = np.fromiter((e for (e,) in poly.terms), np.int64, n)
-    window[exps - lo] = np.fromiter(poly.terms.values(), np.int64, n)
-    return window
-
-
 def _window_orbit(xi: PhaseVector, steps: int, lo: int, entries):
     """Slices of a one-variable orbit stepped on int64 coefficient windows.
 
@@ -323,15 +324,23 @@ def _light_cone_checked(slices, start, radius: int):
     if not start:
         yield from slices
         return
-    box = np.array(start, dtype=np.int64)
-    lo, hi = box.min(axis=0), box.max(axis=0)
+    # The bounds stay Python ints, so exponents beyond int64 compare exactly.
+    cols = [start] if isinstance(start[0], int) else list(zip(*start))
+    lo, hi = [min(c) for c in cols], [max(c) for c in cols]
     for t, sl in enumerate(slices):
         cells = sl[0]
+        if not len(cells):
+            yield sl
+            continue
         # Sorted one-variable cells can only leave the cone at either end.
-        ends = cells[[0, -1]] if cells.ndim == 1 and len(cells) else cells
-        outside = (ends < lo - t * radius) | (ends > hi + t * radius)
-        if outside.any():
-            cell = ends[outside.reshape(len(ends), -1).any(axis=1)][0].tolist()
+        box = (cells[[0, -1]] if cells.ndim == 1 else cells).reshape(-1, len(lo))
+        r = t * radius
+        low, high = box.min(axis=0).tolist(), box.max(axis=0).tolist()
+        if any(x < a - r for x, a in zip(low, lo)) or any(x > b + r for x, b in zip(high, hi)):
+            row = next(
+                c for c in box.tolist() if any(x < a - r or x > b + r for x, a, b in zip(c, lo, hi))
+            )
+            cell = row[0] if cells.ndim == 1 else row
             raise InvariantViolation(
                 f"light cone broken at t = {t}: cell {cell} lies more than"
                 f" {t * radius} cells outside the start support"

@@ -102,6 +102,10 @@ def test_orbit_matches_apply_stepping():
     unit = ScaMatrix(poly(2, {big: 1, 0: 1}), LaurentPoly.zero(2, 1), LaurentPoly.zero(2, 1), one2)
     cases.append((unit, PhaseVector(one2, one2), 4, False))
     cases.append((shear_g(3, 1, 1), PhaseVector(poly(3, {-500: 1, 700: 2}), poly(3, {})), 5, False))
+    # Each component is a single term, but together they span 2^31 cells.
+    cases.append((shear_g(3, 1, 1), PhaseVector(poly(3, {0: 1}), poly(3, {2**31 - 1: 1})), 3, False))
+    # Exponents that leave int64 travel as Python ints.
+    cases.append((shift(3, 1, 2**62), PhaseVector(poly(3, {0: 1}), poly(3, {1: 2})), 4, False))
     cases.append((shear_g(3, 1, 1), PhaseVector.zero(3), 5, False))
     f = poly(3, {(1, 0): 1, (-1, 0): 1, (0, 1): 2, (0, -1): 2}, d=2)
     s2 = from_recipe(f, LaurentPoly.constant(3, 2, 2))
@@ -120,9 +124,10 @@ def test_orbit_matches_apply_stepping():
         for t, (cells, plus, minus) in enumerate(slices):
             n = len(plus)
             assert cells.shape == ((n,) if s.d == 1 else (n, s.d))
-            assert cells.dtype == np.int64
-            assert plus.dtype == minus.dtype == (np.int64 if s.p <= 2**63 else object)
             support = eta.support()
+            flat = support if s.d == 1 else [v for c in support for v in c]
+            assert cells.dtype == (np.int64 if all(-(2**63) <= v < 2**63 for v in flat) else object)
+            assert plus.dtype == minus.dtype == (np.int64 if s.p <= 2**63 else object)
             got = cells.tolist() if s.d == 1 else [tuple(c) for c in cells.tolist()]
             assert got == support, (s, xi, t)
             assert plus.tolist() == [eta.plus.coeff(x) for x in support]
