@@ -5,8 +5,8 @@ p-level cells is, in phase space, a 2x2 matrix of Laurent polynomials over
 F_p that preserves the commutation form.  This package implements that
 calculus end to end: the polynomial ring and its palindrome subring,
 symplecticity tests and certificates, Euclidean factorization into
-elementary generator words, cocycle phase functions, a dense complex oracle
-for finite windows, and a CLI wrapping the lot.
+elementary generator words, cocycle phase functions, an exact operator
+oracle on finite windows, and a CLI wrapping the lot.
 """
 
 from .ffield import check_prime, inv_mod, is_prime

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import sys
 
@@ -385,6 +386,7 @@ def cmd_evolve(args) -> int:
 # -- argument plumbing -------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cqca",
@@ -392,13 +394,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, help_text, matrix=True):
+    def add(name, func, help_text):
         cmd = sub.add_parser(name, help=help_text)
         cmd.set_defaults(func=func)
         cmd.add_argument("--p", type=int, default=None, help="expected modulus (cross-checked)")
         cmd.add_argument("--d", type=int, default=None, help="expected variable count")
-        if matrix:
-            cmd.add_argument("matrix", help="matrix JSON file, or - for stdin")
+        cmd.add_argument("matrix", help="matrix JSON file, or - for stdin")
         return cmd
 
     add("verify", cmd_verify, "test whether a matrix preserves the commutation form")
@@ -433,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
     phase = add("phase", cmd_phase, "construct and validate a default phase function")
     phase.add_argument("--seed", type=int, default=11)
 
-    selftest = sub.add_parser("selftest", help="run the dense-oracle suite")
+    selftest = sub.add_parser("selftest", help="run the operator-oracle suite")
     selftest.set_defaults(func=cmd_selftest)
     selftest.add_argument("--p", type=int, default=None)
     selftest.add_argument("--sites", type=int, default=None, help="window size in cells")
@@ -443,19 +444,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (sca.NotSymplectic, sca.FactorizationMismatch, sca.InvariantViolation) as exc:
+    except (
+        sca.NotSymplectic,
+        sca.FactorizationMismatch,
+        sca.InvariantViolation,
+        factor_mod.NotOneDimensional,
+        NoValidPhase,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (factor_mod.NotOneDimensional, NoValidPhase) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except PolyParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except json.JSONDecodeError as exc:
         print(f"error: bad JSON: {exc}", file=sys.stderr)
         return 2

@@ -10,9 +10,10 @@ cells in ascending order, the plus generator before the minus one.
 
 Phases live in the cyclic group of order p (odd p) or 4 (p = 2; squares of
 single-cell operators force fourth roots of unity).  They are represented
-exactly as exponents, never as floats; the dense oracle converts at the
-boundary.  Raising the generator value of a valid assignment by the power
-constraint below keeps phi(xi)^p consistent with the order of w(xi):
+exactly as exponents, never as floats; the operator oracle adds them to
+the phase exponents of its monomial matrices.  Raising the generator value
+of a valid assignment by the power constraint below keeps phi(xi)^p
+consistent with the order of w(xi):
 
     p * gen == kappa * (diag correction) in the exponent group,
     kappa = p(p-1)/2.
@@ -80,9 +81,6 @@ class PhaseExponent:
 
     def inverse(self):
         return PhaseExponent(-self.numerator, self.order)
-
-    def to_complex(self) -> complex:
-        return complex(np.exp(2j * np.pi * self.numerator / self.order))
 
     def __eq__(self, other):
         if not isinstance(other, PhaseExponent):

@@ -1,8 +1,8 @@
-"""Dense complex oracle: finite-window Weyl matrices checked numerically.
+"""Exact operator oracle: finite-window Weyl operators as monomial matrices.
 
 Everything upstream is exact symbolic algebra; this module is the
 independent referee.  On a finite window of cells it builds the actual
-unitaries w(xi) as tensor products of single-cell matrices acting on
+unitaries w(xi) as tensor products of single-cell operators acting on
 C^p per cell:
 
     w(a, b) |q> = eps_p^{a q} |q - b>,   eps_p = exp(2 pi i / p)
@@ -12,8 +12,12 @@ symbolic form beta, and the commutation phase is eps_p^{sigma(xi, eta)}.
 For p = 2 the single-cell operators are the Paulis: w(1,0) = Z,
 w(0,1) = X, and w(1,1) = X Z = -i Y.
 
-All comparisons use the max norm with a 1e-10 tolerance; entries are exact
-roots of unity, so any disagreement is structural, not roundoff.
+Each w(xi), and every product of them times a root of unity, is a monomial
+matrix: column q holds one entry omega^phase[q] in row row[q], with omega a
+root of unity of the phase group's order (4 for p = 2, p otherwise).  The
+oracle stores exactly those two integer arrays, so products, powers and
+comparisons are exact integer operations; complex numbers appear only in
+WeylOperator.dense(), which tests use to pin the tensor ordering.
 """
 
 from __future__ import annotations
@@ -25,14 +29,14 @@ from itertools import product
 import numpy as np
 
 from . import sca
-from .cocycle import PhaseFunction, default_phase
+from .cocycle import PhaseFunction, default_phase, phase_group_order
 from .laurent import LaurentPoly
 from .phasespace import PhaseVector, beta, sigma
 
 __all__ = [
-    "TOLERANCE",
     "MAX_WINDOW_DIM",
     "Window",
+    "WeylOperator",
     "weyl_matrix",
     "check_unitary",
     "check_weyl_relation",
@@ -43,7 +47,6 @@ __all__ = [
     "run_selftest",
 ]
 
-TOLERANCE = 1e-10
 MAX_WINDOW_DIM = 4096
 
 
@@ -75,89 +78,113 @@ class Window:
         return range(self.lo, self.hi + 1)
 
 
-def _max_diff(m1, m2) -> float:
-    return float(np.max(np.abs(m1 - m2)))
+@dataclass(frozen=True, eq=False)
+class WeylOperator:
+    """Monomial matrix: column q holds omega^phase[q] in row row[q].
+
+    omega = exp(2 pi i / order); row and phase are int64 arrays of the
+    window dimension, phase reduced to [0, order).
+    """
+
+    row: np.ndarray
+    phase: np.ndarray
+    order: int
+
+    def __matmul__(self, other: WeylOperator) -> WeylOperator:
+        if self.order != other.order or len(self.row) != len(other.row):
+            raise ValueError("operators act on different windows")
+        return WeylOperator(
+            self.row[other.row], (other.phase + self.phase[other.row]) % self.order, self.order
+        )
+
+    def scaled(self, k: int) -> WeylOperator:
+        """This operator times omega^k."""
+        return WeylOperator(self.row, (self.phase + k) % self.order, self.order)
+
+    def __eq__(self, other):
+        if not isinstance(other, WeylOperator):
+            return NotImplemented
+        return (
+            self.order == other.order
+            and np.array_equal(self.row, other.row)
+            and np.array_equal(self.phase, other.phase)
+        )
+
+    def dense(self) -> np.ndarray:
+        """The complex matrix, for tests that compare it with explicit Kronecker products."""
+        n = len(self.row)
+        m = np.zeros((n, n), dtype=np.complex128)
+        m[self.row, np.arange(n)] = np.exp(2j * np.pi * self.phase / self.order)
+        return m
 
 
-def _weyl_cell(p: int, a: int, b: int) -> np.ndarray:
-    """Single-cell operator |q> -> eps^{a q} |q - b> as a p x p matrix."""
-    eps_powers = np.exp(2j * np.pi * (np.arange(p) % p) / p)
-    m = np.zeros((p, p), dtype=np.complex128)
-    cols = np.arange(p)
-    rows = (cols - b) % p
-    m[rows, cols] = eps_powers[(a * cols) % p]
-    return m
+def weyl_matrix(xi: PhaseVector, window: Window) -> WeylOperator:
+    """Tensor product of single-cell Weyl operators over the window cells.
 
-
-def weyl_matrix(xi: PhaseVector, window: Window) -> np.ndarray:
-    """Tensor product of single-cell Weyl operators over the window cells."""
+    The first window cell is the most significant digit of the basis index
+    (the Kronecker-product order).
+    """
     if xi.d != 1:
-        raise ValueError("the dense oracle is one-dimensional")
+        raise ValueError("the operator oracle is one-dimensional")
     if xi.p != window.p:
         raise ValueError(f"modulus mismatch: {xi.p} vs {window.p}")
     cells = xi.support()
     if cells and (cells[0] < window.lo or cells[-1] > window.hi):
         raise ValueError(f"support {cells} sticks out of window [{window.lo}, {window.hi}]")
     p = window.p
-    out = np.ones((1, 1), dtype=np.complex128)
-    for x in window.cells():
-        a = xi.plus.coeff(x)
-        b = xi.minus.coeff(x)
-        out = np.kron(out, _weyl_cell(p, a, b))
-    return out
+    order = phase_group_order(p)
+    a = np.array([xi.plus.coeff(x) for x in window.cells()], dtype=np.int64)
+    b = np.array([xi.minus.coeff(x) for x in window.cells()], dtype=np.int64)
+    place = p ** np.arange(window.sites - 1, -1, -1, dtype=np.int64)
+    digits = np.arange(window.dim, dtype=np.int64)[:, None] // place % p
+    row = (digits - b) % p @ place
+    phase = (order // p) * (digits @ a) % order
+    return WeylOperator(row, phase, order)
 
 
-def check_unitary(m: np.ndarray, tol: float = TOLERANCE) -> bool:
-    n = m.shape[0]
-    return _max_diff(m.conj().T @ m, np.eye(n)) < tol
+def check_unitary(w: WeylOperator) -> bool:
+    """A monomial matrix of roots of unity is unitary iff its rows form a permutation."""
+    return bool(np.array_equal(np.sort(w.row), np.arange(len(w.row))))
 
 
-def _phase(p: int, exponent: int) -> complex:
-    return complex(np.exp(2j * np.pi * (exponent % p) / p))
-
-
-def check_weyl_relation(xi: PhaseVector, eta: PhaseVector, window: Window, tol: float = TOLERANCE) -> bool:
+def check_weyl_relation(xi: PhaseVector, eta: PhaseVector, window: Window) -> bool:
     """w(xi + eta) == eps_p^{beta(xi, eta)} w(xi) w(eta) on the window."""
-    w_sum = weyl_matrix(xi + eta, window)
     w_prod = weyl_matrix(xi, window) @ weyl_matrix(eta, window)
-    return _max_diff(w_sum, _phase(window.p, beta(xi, eta)) * w_prod) < tol
+    step = w_prod.order // window.p
+    return weyl_matrix(xi + eta, window) == w_prod.scaled(step * beta(xi, eta))
 
 
-def check_commutation(xi: PhaseVector, eta: PhaseVector, window: Window, tol: float = TOLERANCE) -> bool:
-    """w(eta) w(xi) == eps_p^{sigma(xi, eta)} w(xi) w(eta) on the window."""
-    w_xi = weyl_matrix(xi, window)
-    w_eta = weyl_matrix(eta, window)
-    lhs = w_eta @ w_xi
-    rhs = _phase(window.p, sigma(xi, eta)) * (w_xi @ w_eta)
-    return _max_diff(lhs, rhs) < tol
-
-
-def commutation_exponent(xi: PhaseVector, eta: PhaseVector, window: Window, tol: float = TOLERANCE):
-    """Extract k with w(eta) w(xi) = eps^k w(xi) w(eta), or None if not scalar."""
+def commutation_exponent(xi: PhaseVector, eta: PhaseVector, window: Window):
+    """Extract k with w(eta) w(xi) = eps_p^k w(xi) w(eta), or None if there is none."""
     w_xi = weyl_matrix(xi, window)
     w_eta = weyl_matrix(eta, window)
     lhs = w_eta @ w_xi
     rhs = w_xi @ w_eta
-    flat = np.argmax(np.abs(rhs))
-    pivot = rhs.flat[flat]
-    if abs(pivot) < tol:
-        return 0
-    ratio = lhs.flat[flat] / pivot
-    p = window.p
-    k = int(round(np.angle(ratio) * p / (2 * np.pi))) % p
-    if _max_diff(lhs, _phase(p, k) * rhs) < tol:
-        return k
-    return None
+    if not np.array_equal(lhs.row, rhs.row):
+        return None
+    diff = (lhs.phase - rhs.phase) % lhs.order
+    k, rest = divmod(int(diff[0]), lhs.order // window.p)
+    if rest or np.any(diff != diff[0]):
+        return None
+    return k
 
 
-def check_order_condition(xi: PhaseVector, window: Window, tol: float = TOLERANCE) -> bool:
+def check_commutation(xi: PhaseVector, eta: PhaseVector, window: Window) -> bool:
+    """w(eta) w(xi) == eps_p^{sigma(xi, eta)} w(xi) w(eta) on the window."""
+    return commutation_exponent(xi, eta, window) == sigma(xi, eta)
+
+
+def check_order_condition(xi: PhaseVector, window: Window) -> bool:
     """w(xi)^p == eps_p^{-kappa beta(xi, xi)} * identity, kappa = p(p-1)/2."""
     p = window.p
     w = weyl_matrix(xi, window)
-    power = np.linalg.matrix_power(w, p)
+    power = w
+    for _ in range(p - 1):
+        power = power @ w
     kappa = p * (p - 1) // 2
-    expected = _phase(p, -kappa * beta(xi, xi)) * np.eye(window.dim)
-    return _max_diff(power, expected) < tol
+    step = w.order // p
+    identity = weyl_matrix(PhaseVector.zero(p), window)
+    return power == identity.scaled(-step * kappa * beta(xi, xi))
 
 
 def _vectors_on_cells(p: int, cells) -> list:
@@ -181,7 +208,6 @@ def check_clifford_action(
     s: sca.ScaMatrix,
     phi: PhaseFunction,
     window: Window,
-    tol: float = TOLERANCE,
     max_exhaustive: int = 4096,
     samples: int = 512,
     seed: int = 7,
@@ -193,7 +219,7 @@ def check_clifford_action(
     pair count is small, by seeded sampling otherwise.
     """
     if s.d != 1:
-        raise ValueError("the dense oracle is one-dimensional")
+        raise ValueError("the operator oracle is one-dimensional")
     radius = s.radius()
     inner_lo = window.lo + radius
     inner_hi = window.hi - radius
@@ -202,33 +228,17 @@ def check_clifford_action(
             f"window [{window.lo}, {window.hi}] too small for radius {radius}"
         )
     p = window.p
+    step = phi.order // p
     inner_cells = range(inner_lo, inner_hi + 1)
     n_inner = inner_hi - inner_lo + 1
     n_vectors = (p * p) ** n_inner
 
-    cache = {}
-
-    def w_of(vec: PhaseVector) -> np.ndarray:
-        key = (
-            frozenset(vec.plus.terms.items()),
-            frozenset(vec.minus.terms.items()),
-        )
-        if key not in cache:
-            cache[key] = weyl_matrix(vec, window)
-        return cache[key]
-
     def pair_ok(xi: PhaseVector, eta: PhaseVector) -> bool:
-        lhs = (
-            phi.evaluate(xi).to_complex()
-            * phi.evaluate(eta).to_complex()
-            * (w_of(s.apply(xi)) @ w_of(s.apply(eta)))
-        )
-        rhs = (
-            _phase(p, -beta(xi, eta))
-            * phi.evaluate(xi + eta).to_complex()
-            * w_of(s.apply(xi + eta))
-        )
-        return _max_diff(lhs, rhs) < tol
+        lhs = weyl_matrix(s.apply(xi), window) @ weyl_matrix(s.apply(eta), window)
+        rhs = weyl_matrix(s.apply(xi + eta), window)
+        lhs_phase = phi.evaluate(xi).numerator + phi.evaluate(eta).numerator
+        rhs_phase = phi.evaluate(xi + eta).numerator - step * beta(xi, eta)
+        return lhs.scaled(lhs_phase - rhs_phase) == rhs
 
     if n_vectors * n_vectors <= max_exhaustive:
         vectors = _vectors_on_cells(p, inner_cells)
@@ -260,64 +270,26 @@ def run_selftest(p: int, sites: int, seed: int = 7) -> list:
     """Full oracle suite; returns one report record per check class."""
     window = Window(p, 0, sites - 1)
     family = _selftest_family(p, window)
-    reports = []
-
-    cache = {}
-
-    def w_of(vec):
-        key = (frozenset(vec.plus.terms.items()), frozenset(vec.minus.terms.items()))
-        if key not in cache:
-            cache[key] = weyl_matrix(vec, window)
-        return cache[key]
-
-    ok = all(check_unitary(w_of(v)) for v in family)
-    reports.append({"check": "unitarity", "pass": ok, "cases": len(family)})
-
-    cases = 0
-    ok = True
-    for xi in family:
-        for eta in family:
-            w_sum = weyl_matrix(xi + eta, window)
-            good = (
-                _max_diff(
-                    w_sum, _phase(p, beta(xi, eta)) * (w_of(xi) @ w_of(eta))
-                )
-                < TOLERANCE
-            )
-            ok = ok and good
-            cases += 1
-    reports.append({"check": "weyl_relation", "pass": ok, "cases": cases})
-
-    cases = 0
-    ok = True
-    for xi in family:
-        for eta in family:
-            k = commutation_exponent(xi, eta, window)
-            ok = ok and k is not None and k == sigma(xi, eta)
-            cases += 1
-    reports.append({"check": "commutation", "pass": ok, "cases": cases})
-
-    ok = all(check_order_condition(v, window) for v in family)
-    reports.append({"check": "order_condition", "pass": ok, "cases": len(family)})
-
-    automata = [("identity", sca.identity(p, 1)), ("shift", sca.shift(p, 1, 1))]
-    automata.extend((f"local_f({c})", sca.local_f(p, c)) for c in range(1, p))
-    automata.append(("shear_g(1)", sca.shear_g(p, 1, 1)))
+    pairs = [(xi, eta) for xi in family for eta in family]
     one = LaurentPoly.one(p, 1)
-    zero = LaurentPoly.zero(p, 1)
     b1 = LaurentPoly(p, 1, {1: 1, -1: 1})
-    recipes = [
-        ("recipe(1+b1, 0)", sca.from_recipe(one + b1, zero)),
-        ("recipe(1+b1, 1)", sca.from_recipe(one + b1, one)),
-        ("recipe(1, b1)", sca.from_recipe(one, b1)),
+    automata = [sca.identity(p, 1), sca.shift(p, 1, 1)]
+    automata.extend(sca.local_f(p, c) for c in range(1, p))
+    automata.append(sca.shear_g(p, 1, 1))
+    recipes = ((one + b1, LaurentPoly.zero(p, 1)), (one + b1, one), (one, b1))
+    automata.extend(sca.from_recipe(f, h) for f, h in recipes)
+    checks = [
+        ("unitarity", family, lambda v: check_unitary(weyl_matrix(v, window))),
+        ("weyl_relation", pairs, lambda pair: check_weyl_relation(*pair, window)),
+        ("commutation", pairs, lambda pair: check_commutation(*pair, window)),
+        ("order_condition", family, lambda v: check_order_condition(v, window)),
+        (
+            "clifford_action",
+            automata,
+            lambda s: check_clifford_action(s, default_phase(s), window, seed=seed),
+        ),
     ]
-    automata.extend(recipes)
-    cases = 0
-    ok = True
-    for _, automaton in automata:
-        phi = default_phase(automaton)
-        good = check_clifford_action(automaton, phi, window, seed=seed)
-        ok = ok and good
-        cases += 1
-    reports.append({"check": "clifford_action", "pass": ok, "cases": cases})
-    return reports
+    return [
+        {"check": name, "pass": all(map(ok, cases)), "cases": len(cases)}
+        for name, cases, ok in checks
+    ]

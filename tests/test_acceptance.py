@@ -183,7 +183,7 @@ def test_criterion_5_oracle_suite(record_criterion):
     passed = not failing and elapsed < 60.0
     record_criterion(
         5,
-        "dense oracle suite on 4-site (p=2) and 3-site (p=3) windows",
+        "exact operator-oracle suite on 4-site (p=2) and 3-site (p=3) windows",
         passed,
         f"{len(reports)} report blocks in {elapsed:.1f}s, limit 60s",
     )

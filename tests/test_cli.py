@@ -251,6 +251,18 @@ def test_evolve_shift_track(tmp_path, capsys):
     assert lines[1:] == ["0,0,1,0", "1,1,1,0", "2,2,1,0", "3,3,1,0"]
 
 
+def test_repeated_main_calls_keep_no_flag_values(tmp_path, capsys):
+    path = write_matrix(tmp_path, shift(2, 1, 1))
+    code, out, _ = run(capsys, ["evolve", path, "--plus", "1", "--minus", "1", "--steps", "2"])
+    assert code == 0 and len(out.strip().splitlines()) == 1 + 3
+    code, out, _ = run(capsys, ["evolve", path, "--plus", "1"])
+    assert code == 0
+    rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+    # the default --steps 10 gives time slices t = 0..10, and --minus is back to 0
+    assert [row[0] for row in rows] == [str(t) for t in range(11)]
+    assert {row[3] for row in rows} == {"0"}
+
+
 def test_evolve_shear_one_step_rows(tmp_path, capsys):
     path = write_matrix(tmp_path, shear_g(2, 1, 1))
     code, out, _ = run(capsys, ["evolve", path, "--plus", "1", "--steps", "1"])

@@ -392,3 +392,67 @@ def test_hash_consistency():
     b = poly(3, {-1: 2, 1: 1})
     assert a == b and hash(a) == hash(b)
     assert len({a, b}) == 1
+
+
+# -- differential checks against sympy over GF(p) ----------------------------------
+
+DIFF_PRIMES = (2, 3, 5, 1048573)
+
+
+def to_sympy(f, gens, lo):
+    """u^-lo * f as a sympy Poly over GF(p); lo bounds every exponent of f from below."""
+    import sympy
+
+    terms = {tuple(a - b for a, b in zip(e, lo)): c for e, c in f.terms.items()}
+    return sympy.Poly.from_dict(terms or {(0,) * f.d: 0}, *gens, modulus=f.p)
+
+
+def low_corner(f):
+    return tuple(min((e[i] for e in f.terms), default=0) for i in range(f.d))
+
+
+def test_mul_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(1048573)
+    for p in DIFF_PRIMES:
+        for _ in range(60):
+            d = rng.choice((1, 1, 2))
+            gens = sympy.symbols("u1:%d" % (d + 1))
+            spans = (3, 20, 400) if d == 1 else (3, 20)  # 400: hollow supports
+            f = rand_poly(rng, p, d, max_terms=rng.choice((4, 40)), span=rng.choice(spans))
+            g = rand_poly(rng, p, d, max_terms=rng.choice((4, 40)), span=rng.choice(spans))
+            lo_f, lo_g = low_corner(f), low_corner(g)
+            expected = to_sympy(f, gens, lo_f) * to_sympy(g, gens, lo_g)
+            lo = tuple(a + b for a, b in zip(lo_f, lo_g))
+            assert to_sympy(f * g, gens, lo) == expected, f"({f}) * ({g}) mod {p}"
+
+
+def to_x(f, x):
+    """A palindrome as the polynomial in x = u + u^-1 it equals, via Dickson D_k."""
+    import sympy
+
+    dickson = [sympy.Poly(2, x, modulus=f.p), sympy.Poly(x, x, modulus=f.p)]
+    top = max((e for (e,) in f.terms), default=0)
+    while len(dickson) <= top:
+        dickson.append(dickson[1] * dickson[-1] - dickson[-2])
+    out = sympy.Poly(f.coeff(0), x, modulus=f.p)
+    for k in range(1, top + 1):
+        out += dickson[k] * f.coeff(k)
+    return out
+
+
+def test_palindrome_divmod_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rng = random.Random(573)
+    done = 0
+    while done < 200:
+        p = rng.choice(DIFF_PRIMES)
+        f = rand_palindrome(rng, p, rng.choice([3, 8, 24]))
+        h = rand_palindrome(rng, p, rng.choice([2, 6, 12]))
+        if h.is_zero():
+            continue
+        q, r = palindrome_divmod(f, h)
+        gq, gr = sympy.div(to_x(f, x), to_x(h, x))
+        assert (to_x(q, x), to_x(r, x)) == (gq, gr), f"({f}) / ({h}) mod {p}"
+        done += 1

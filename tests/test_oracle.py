@@ -1,4 +1,4 @@
-"""Dense-matrix oracle tests: Weyl operators on finite windows."""
+"""Operator oracle tests: exact Weyl operators on finite windows."""
 
 import random
 
@@ -21,8 +21,8 @@ from cqca import (
 )
 from cqca.oracle import (
     MAX_WINDOW_DIM,
-    TOLERANCE,
     Window,
+    WeylOperator,
     check_clifford_action,
     check_commutation,
     check_order_condition,
@@ -66,32 +66,32 @@ def test_window_rejects_bad_ranges():
 def test_weyl_matrix_zero_vector_is_identity():
     for p in (2, 3, 5):
         w = Window(p, 0, 1)
-        m = weyl_matrix(PhaseVector.zero(p), w)
-        assert np.allclose(m, np.eye(w.dim), atol=TOLERANCE)
+        m = weyl_matrix(PhaseVector.zero(p), w).dense()
+        assert np.allclose(m, np.eye(w.dim), atol=1e-10)
 
 
 def test_weyl_matrix_clock_and_shift():
     for p in (2, 3, 5):
         w = Window(p, 0, 0)
         eps = np.exp(2j * np.pi / p)
-        z = weyl_matrix(PhaseVector.e_plus(p), w)
-        assert np.allclose(z, np.diag([eps ** q for q in range(p)]), atol=TOLERANCE)
-        x = weyl_matrix(PhaseVector.e_minus(p), w)
+        z = weyl_matrix(PhaseVector.e_plus(p), w).dense()
+        assert np.allclose(z, np.diag([eps ** q for q in range(p)]), atol=1e-10)
+        x = weyl_matrix(PhaseVector.e_minus(p), w).dense()
         expect = np.zeros((p, p), dtype=complex)
         for q in range(p):
             expect[(q - 1) % p, q] = 1.0
-        assert np.allclose(x, expect, atol=TOLERANCE)
+        assert np.allclose(x, expect, atol=1e-10)
 
 
 def test_pauli_dictionary_char_two():
     w = Window(2, 0, 0)
-    z = weyl_matrix(single_cell(2, 1, 0), w)
-    x = weyl_matrix(single_cell(2, 0, 1), w)
-    y_like = weyl_matrix(single_cell(2, 1, 1), w)
-    assert np.allclose(z, PAULI_Z, atol=TOLERANCE)
-    assert np.allclose(x, PAULI_X, atol=TOLERANCE)
-    assert np.allclose(y_like, x @ z, atol=TOLERANCE)
-    assert np.allclose(y_like, -1j * PAULI_Y, atol=TOLERANCE)
+    z = weyl_matrix(single_cell(2, 1, 0), w).dense()
+    x = weyl_matrix(single_cell(2, 0, 1), w).dense()
+    y_like = weyl_matrix(single_cell(2, 1, 1), w).dense()
+    assert np.allclose(z, PAULI_Z, atol=1e-10)
+    assert np.allclose(x, PAULI_X, atol=1e-10)
+    assert np.allclose(y_like, x @ z, atol=1e-10)
+    assert np.allclose(y_like, -1j * PAULI_Y, atol=1e-10)
 
 
 def test_weyl_matrix_factorizes_over_cells():
@@ -100,7 +100,7 @@ def test_weyl_matrix_factorizes_over_cells():
         LaurentPoly(2, 1, {0: 1}),
         LaurentPoly(2, 1, {1: 1}),
     )
-    assert np.allclose(weyl_matrix(xi, w), np.kron(PAULI_Z, PAULI_X), atol=TOLERANCE)
+    assert np.allclose(weyl_matrix(xi, w).dense(), np.kron(PAULI_Z, PAULI_X), atol=1e-10)
 
 
 def test_weyl_matrix_rejects_bad_input():
@@ -121,10 +121,54 @@ def test_weyl_relation_unit_pair():
         eta = PhaseVector.e_minus(p)
         assert beta(xi, eta) == 1
         assert check_weyl_relation(xi, eta, w)
-        lhs = weyl_matrix(xi + eta, w)
+        lhs = weyl_matrix(xi + eta, w).dense()
         eps = np.exp(2j * np.pi / p)
-        rhs = eps * weyl_matrix(xi, w) @ weyl_matrix(eta, w)
-        assert np.allclose(lhs, rhs, atol=TOLERANCE)
+        rhs = eps * weyl_matrix(xi, w).dense() @ weyl_matrix(eta, w).dense()
+        assert np.allclose(lhs, rhs, atol=1e-10)
+
+
+def clock_shift_kron(xi, window):
+    """w(xi) as the kron over cells of X^b Z^a, with Z the clock and X the shift."""
+    p = window.p
+    clock = np.diag(np.exp(2j * np.pi * np.arange(p) / p))
+    shift_down = np.zeros((p, p), dtype=complex)
+    shift_down[(np.arange(p) - 1) % p, np.arange(p)] = 1.0
+    out = np.ones((1, 1), dtype=complex)
+    for x in window.cells():
+        a, b = xi.plus.coeff(x), xi.minus.coeff(x)
+        cell = np.linalg.matrix_power(shift_down, b) @ np.linalg.matrix_power(clock, a)
+        out = np.kron(out, cell)
+    return out
+
+
+def test_weyl_matrix_matches_kron_randomized():
+    rng = random.Random(20261018)
+    for p in (2, 3, 5):
+        for sites in (1, 2, 3):
+            w = Window(p, -1, sites - 2)
+            for _ in range(12):
+                xi = PhaseVector.random(rng, p, w.cells())
+                m = weyl_matrix(xi, w).dense()
+                assert np.allclose(m, clock_shift_kron(xi, w), atol=1e-10), (p, sites, xi)
+
+
+def test_operator_product_matches_dense_product():
+    rng = random.Random(4242)
+    for p in (2, 3, 5):
+        w = Window(p, 0, 2)
+        for _ in range(12):
+            a = weyl_matrix(PhaseVector.random(rng, p, w.cells()), w).scaled(rng.randrange(7))
+            b = weyl_matrix(PhaseVector.random(rng, p, w.cells()), w)
+            assert np.allclose((a @ b).dense(), a.dense() @ b.dense(), atol=1e-10)
+            assert a.scaled(a.order) == a and a.scaled(1) != a
+
+
+def test_check_unitary_rejects_non_permutation():
+    w = weyl_matrix(PhaseVector.e_minus(3), Window(3, 0, 1))
+    assert check_unitary(w)
+    row = w.row.copy()
+    row[0] = row[1]
+    assert not check_unitary(WeylOperator(row, w.phase, w.order))
 
 
 def test_single_cell_checks_exhaustive():
@@ -142,8 +186,8 @@ def test_single_cell_checks_exhaustive():
 def test_order_condition_phase_twist():
     # at p = 2 the mixed generator squares to minus the identity
     w = Window(2, 0, 0)
-    m = weyl_matrix(single_cell(2, 1, 1), w)
-    assert np.allclose(m @ m, -np.eye(2), atol=TOLERANCE)
+    m = weyl_matrix(single_cell(2, 1, 1), w).dense()
+    assert np.allclose(m @ m, -np.eye(2), atol=1e-10)
     assert check_order_condition(single_cell(2, 1, 1), w)
 
 
@@ -185,6 +229,11 @@ def test_clifford_action_detects_wrong_phase():
     s = shear_g(2, 1, 1)
     bad = PhaseFunction(s, PhaseExponent(1, 4), PhaseExponent(0, 4))
     assert not check_clifford_action(s, bad, Window(2, 0, 2))
+    # At odd p every generator assignment is admissible (two assignments
+    # differ by a character), so the wrong phase is another automaton's.
+    s = shear_g(3, 1, 1)
+    assert check_clifford_action(s, default_phase(s), Window(3, 0, 2))
+    assert not check_clifford_action(s, default_phase(local_f(3, 1)), Window(3, 0, 2))
 
 
 def test_clifford_action_window_guards():
