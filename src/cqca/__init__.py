@@ -49,8 +49,6 @@ from .factor import (
     word_to_json_list,
 )
 from .cocycle import (
-    NoValidPhase,
-    PhaseExponent,
     PhaseFunction,
     default_phase,
     phase_group_order,
@@ -98,9 +96,7 @@ __all__ = [
     "random_word",
     "word_to_json_list",
     "word_from_json_list",
-    "PhaseExponent",
     "PhaseFunction",
-    "NoValidPhase",
     "default_phase",
     "phase_group_order",
     "validate_cocycle",

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import factor as factor_mod
 from . import sca
-from .cocycle import NoValidPhase, default_phase, validate_cocycle
+from .cocycle import default_phase, validate_cocycle
 from .laurent import LaurentPoly
 from .phasespace import PhaseVector
 
@@ -452,7 +452,6 @@ def main(argv=None) -> int:
         sca.FactorizationMismatch,
         sca.InvariantViolation,
         factor_mod.NotOneDimensional,
-        NoValidPhase,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

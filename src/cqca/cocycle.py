@@ -1,32 +1,46 @@
 """Phase functions that lift a symplectic matrix to an algebra automorphism.
 
-The automaton s only fixes the image of each Weyl operator up to a scalar
-phi(xi).  Consistency of the lifted map with operator products pins phi down
-to a cocycle: phi(xi + eta) = eps_p^{beta(xi,eta) - beta(s xi, s eta)}
-* phi(xi) * phi(eta).  Since s preserves the commutation form, the exponent
-is a symmetric bilinear form, so a solution is determined by its values on
-the two single-cell generators and the fixed folding order used here:
-cells in ascending order, the plus generator before the minus one.
+The automaton s fixes the image of each Weyl operator w(xi) only up to a
+scalar phi(xi).  Consistency of the lifted map with operator products pins
+phi down to a cocycle:
+
+    phi(xi + eta) = eps_p^{C(xi, eta)} * phi(xi) * phi(eta),
+    C(xi, eta) = beta(xi, eta) - beta(s xi, s eta).
 
 Phases live in the cyclic group of order p (odd p) or 4 (p = 2; squares of
-single-cell operators force fourth roots of unity).  They are represented
-exactly as exponents, never as floats; the operator oracle adds them to
-the phase exponents of its monomial matrices.  Raising the generator value
-of a valid assignment by the power constraint below keeps phi(xi)^p
-consistent with the order of w(xi):
+single-cell operators force fourth roots of unity), and eps_p is its
+element of exponent step = order / p.  They are plain int exponents in
+[0, order), never floats; the operator oracle adds them to the phase
+exponents of its monomial matrices.
 
-    p * gen == kappa * (diag correction) in the exponent group,
-    kappa = p(p-1)/2.
+Since s preserves the commutation form, C is a symmetric bilinear form, and
+it is translation invariant.  A solution is therefore fixed by its values
+gen_plus, gen_minus on the two single-cell generators and by the order in
+which the components of xi are added up: cells ascending, the plus
+generator before the minus one.  Writing xi = sum_k c_k e_k in that order,
 
-For odd p the constraint is vacuous (kappa = 0 mod p); for p = 2 it fixes
-each generator exponent mod 2.  default_phase searches exponents ascending
-from zero and returns the first admissible assignment.
+    phi(xi) = sum_k c_k gen_k
+              + step * (sum_k C(e_k, e_k) c_k (c_k - 1) / 2
+                        + sum_{j<k} c_j c_k C(e_j, e_k))   (mod order).
+
+C between two generators depends only on their kinds and their offset, and
+vanishes beyond twice the automaton radius, so PhaseFunction tabulates it
+once and evaluate() is this integer quadratic form, for every p and d.
+
+phi(e)^p must match the order of w(e), which constrains each generator
+exponent:
+
+    p * gen == -step * kappa * C(e, e)   (mod order),   kappa = p(p-1)/2.
+
+For odd p the constraint is vacuous (kappa = 0 mod p); at p = 2 it reads
+gen == C(e, e) (mod 2).  default_phase takes the least solutions.
 """
 
 from __future__ import annotations
 
 import random
 from itertools import product
+from operator import sub
 
 import numpy as np
 
@@ -36,17 +50,13 @@ from .laurent import LaurentPoly
 from .phasespace import PhaseVector, beta
 
 __all__ = [
-    "NoValidPhase",
     "phase_group_order",
-    "PhaseExponent",
     "PhaseFunction",
     "default_phase",
     "validate_cocycle",
 ]
 
-
-class NoValidPhase(RuntimeError):
-    """No generator assignment satisfies the power constraint (not expected)."""
+_PLUS, _MINUS = 0, 1
 
 
 def phase_group_order(p: int) -> int:
@@ -55,115 +65,60 @@ def phase_group_order(p: int) -> int:
     return 2 * p if p == 2 else p
 
 
-class PhaseExponent:
-    """Element of the cyclic phase group, stored as an exponent mod order."""
-
-    __slots__ = ("numerator", "order")
-
-    def __init__(self, numerator: int, order: int):
-        if not isinstance(order, int) or order < 1:
-            raise ValueError(f"order must be a positive int, got {order!r}")
-        self.numerator = numerator % order
-        self.order = order
-
-    def _check(self, other):
-        if not isinstance(other, PhaseExponent):
-            raise TypeError("phase arithmetic needs another PhaseExponent")
-        if other.order != self.order:
-            raise ValueError(f"order mismatch: {self.order} vs {other.order}")
-
-    def __mul__(self, other):
-        self._check(other)
-        return PhaseExponent(self.numerator + other.numerator, self.order)
-
-    def __pow__(self, k: int):
-        return PhaseExponent(self.numerator * k, self.order)
-
-    def inverse(self):
-        return PhaseExponent(-self.numerator, self.order)
-
-    def __eq__(self, other):
-        if not isinstance(other, PhaseExponent):
-            return NotImplemented
-        return self.order == other.order and self.numerator == other.numerator
-
-    def __hash__(self):
-        return hash((self.numerator, self.order))
-
-    def __repr__(self):
-        return f"PhaseExponent({self.numerator}, order={self.order})"
-
-
 class PhaseFunction:
-    """Cocycle solution determined by the automaton and two generator values."""
+    """Cocycle solution determined by the automaton and two generator exponents."""
 
-    __slots__ = ("automaton", "gen_plus", "gen_minus", "_diag_plus", "_diag_minus")
+    __slots__ = ("automaton", "order", "gen_plus", "gen_minus", "_table")
 
-    def __init__(self, automaton: sca.ScaMatrix, gen_plus: PhaseExponent, gen_minus: PhaseExponent):
+    def __init__(self, automaton: sca.ScaMatrix, gen_plus: int, gen_minus: int):
         if not automaton.is_symplectic():
             raise sca.NotSymplectic("phase functions need a symplectic automaton")
-        order = phase_group_order(automaton.p)
         for gen in (gen_plus, gen_minus):
-            if not isinstance(gen, PhaseExponent) or gen.order != order:
-                raise ValueError(f"generator values must have order {order}")
+            if not isinstance(gen, int) or isinstance(gen, bool):
+                raise TypeError(f"generator exponents must be ints, got {gen!r}")
         self.automaton = automaton
-        self.gen_plus = gen_plus
-        self.gen_minus = gen_minus
+        self.order = phase_group_order(automaton.p)
+        self.gen_plus = gen_plus % self.order
+        self.gen_minus = gen_minus % self.order
+        # _table[t, u, x] = C(e_t, u^x e_u) as an int mod p.  The second beta
+        # term of C, beta(s e_t, u^x s e_u), is the coefficient at x of
+        # (s e_t)_plus * reflect((s e_u)_minus); the first is 1 exactly at
+        # (plus, minus, 0).
         p = automaton.p
-        c1 = automaton.column_plus()
-        c2 = automaton.column_minus()
-        # Diagonal corrections C(e, e) = beta(e, e) - beta(se, se) = -beta(se, se).
-        self._diag_plus = -beta(c1, c1) % p
-        self._diag_minus = -beta(c2, c2) % p
-
-    @property
-    def order(self) -> int:
-        return self.gen_plus.order
+        columns = (automaton.column_plus(), automaton.column_minus())
+        self._table = {
+            (t, u, x): -c % p
+            for t, image_t in enumerate(columns)
+            for u, image_u in enumerate(columns)
+            for x, c in (image_t.plus * image_u.minus.reflect()).terms.items()
+        }
+        key = (_PLUS, _MINUS, (0,) * automaton.d)
+        self._table[key] = (self._table.get(key, 0) + 1) % p
 
     def generator_diagonals(self):
-        """The two diagonal corrections (plus, minus), as ints mod p."""
-        return self._diag_plus, self._diag_minus
+        """The two diagonal corrections C(e, e) (plus, minus), as ints mod p."""
+        origin = (0,) * self.automaton.d
+        return tuple(self._table.get((t, t, origin), 0) for t in (_PLUS, _MINUS))
 
-    def evaluate(self, xi: PhaseVector) -> PhaseExponent:
-        """Fold the cocycle over the single-cell components of xi.
-
-        Components are visited in ascending cell order, plus before minus;
-        scalar multiples of a generator are resolved with the closed form
-        phi(c*e) = eps^{C(e,e) * c(c-1)/2} * phi(e)^c.
-        """
+    def evaluate(self, xi: PhaseVector) -> int:
+        """phi(xi) as an exponent in [0, order): the quadratic form of the module docstring."""
         s = self.automaton
-        p = s.p
-        if xi.p != p or xi.d != s.d:
+        if xi.p != s.p or xi.d != s.d:
             raise ValueError("phase vector lives in a different ring")
-        order = self.order
-        step = order // p
-        c1 = s.column_plus()
-        c2 = s.column_minus()
-        total = 0
-        partial = PhaseVector.zero(p, s.d)
-        image = PhaseVector.zero(p, s.d)
-        for x in sorted(set(xi.plus.terms) | set(xi.minus.terms)):
-            for comp_plus in (True, False):
-                c = xi.plus.terms.get(x, 0) if comp_plus else xi.minus.terms.get(x, 0)
-                if c == 0:
-                    continue
-                mono = LaurentPoly.monomial(p, s.d, x, c)
-                if comp_plus:
-                    v = PhaseVector(mono, LaurentPoly.zero(p, s.d))
-                    v_img = PhaseVector(mono * c1.plus, mono * c1.minus)
-                    diag, gen = self._diag_plus, self.gen_plus.numerator
-                else:
-                    v = PhaseVector(LaurentPoly.zero(p, s.d), mono)
-                    v_img = PhaseVector(mono * c2.plus, mono * c2.minus)
-                    diag, gen = self._diag_minus, self.gen_minus.numerator
-                # phi of the scalar multiple c * e.
-                val = (step * ((diag * (c * (c - 1) // 2)) % p) + c * gen) % order
-                # Cocycle correction C(partial, v).
-                corr = (beta(partial, v) - beta(image, v_img)) % p
-                total = (total + val + step * corr) % order
-                partial = partial + v
-                image = image + v_img
-        return PhaseExponent(total, order)
+        components = sorted(
+            [(x, _PLUS, c) for x, c in xi.plus.terms.items()]
+            + [(x, _MINUS, c) for x, c in xi.minus.terms.items()]
+        )
+        gens = (self.gen_plus, self.gen_minus)
+        diagonals = self.generator_diagonals()
+        table = self._table
+        linear = quadratic = 0
+        for k, (y, u, c) in enumerate(components):
+            linear += c * gens[u]
+            quadratic += diagonals[u] * (c * (c - 1) // 2)
+            for x, t, c_j in components[:k]:
+                quadratic += c_j * c * table.get((t, u, tuple(map(sub, y, x))), 0)
+        return (linear + self.order // s.p * quadratic) % self.order
 
     def correction(self, xi: PhaseVector, eta: PhaseVector) -> int:
         """C(xi, eta) = beta(xi, eta) - beta(s xi, s eta), as an int mod p."""
@@ -171,36 +126,18 @@ class PhaseFunction:
         return (beta(xi, eta) - beta(s.apply(xi), s.apply(eta))) % s.p
 
     def to_json_dict(self) -> dict:
-        return {
-            "order": self.order,
-            "gen_plus": self.gen_plus.numerator,
-            "gen_minus": self.gen_minus.numerator,
-        }
-
-
-def _power_constraint_ok(p: int, order: int, gen: int, diag: int) -> bool:
-    """phi(e)^p must equal eps_p^{-kappa * C(e,e)}, kappa = p(p-1)/2."""
-    step = order // p
-    kappa = (p * (p - 1) // 2) % p
-    return (p * gen - step * ((-kappa * diag) % p)) % order == 0
+        return {"order": self.order, "gen_plus": self.gen_plus, "gen_minus": self.gen_minus}
 
 
 def default_phase(s: sca.ScaMatrix) -> PhaseFunction:
-    """First admissible generator assignment, searching exponents from zero up."""
+    """The least generator exponents that satisfy the power constraint.
+
+    They are 0 for odd p and C(e, e) = -beta(s e, s e) mod 2 at p = 2.
+    """
     sca.classify(s)  # certification; raises NotSymplectic otherwise
-    p = s.p
-    order = phase_group_order(p)
-    probe = PhaseFunction(s, PhaseExponent(0, order), PhaseExponent(0, order))
-    diag_plus, diag_minus = probe.generator_diagonals()
-    gp = next(
-        (g for g in range(order) if _power_constraint_ok(p, order, g, diag_plus)), None
-    )
-    gm = next(
-        (g for g in range(order) if _power_constraint_ok(p, order, g, diag_minus)), None
-    )
-    if gp is None or gm is None:
-        raise NoValidPhase(f"no generator exponent satisfies the power constraint for {s!r}")
-    return PhaseFunction(s, PhaseExponent(gp, order), PhaseExponent(gm, order))
+    if s.p == 2:
+        return PhaseFunction(s, *(-beta(c, c) % 2 for c in (s.column_plus(), s.column_minus())))
+    return PhaseFunction(s, 0, 0)
 
 
 def _validate_exhaustive_p2(phi: PhaseFunction, radius: int) -> bool:
@@ -231,7 +168,7 @@ def _validate_exhaustive_p2(phi: PhaseFunction, radius: int) -> bool:
     )
     pair_corr = (bits @ corr @ bits.T) % 2
     values = np.array(
-        [phi.evaluate(mask_vector(m)).numerator for m in range(count)], dtype=np.int64
+        [phi.evaluate(mask_vector(m)) for m in range(count)], dtype=np.int64
     )
     idx = np.arange(count)
     sum_idx = idx[:, None] ^ idx[None, :]
@@ -264,11 +201,7 @@ def validate_cocycle(phi: PhaseFunction, radius: int, samples: int = 10000, seed
     for _ in range(samples):
         xi = PhaseVector.random(rng, p, cells, s.d)
         eta = PhaseVector.random(rng, p, cells, s.d)
-        expected = (
-            phi.evaluate(xi).numerator
-            + phi.evaluate(eta).numerator
-            + step * phi.correction(xi, eta)
-        ) % order
-        if phi.evaluate(xi + eta).numerator != expected:
+        expected = (phi.evaluate(xi) + phi.evaluate(eta) + step * phi.correction(xi, eta)) % order
+        if phi.evaluate(xi + eta) != expected:
             return False
     return True

@@ -401,3 +401,19 @@ def test_selftest_small_window(capsys):
         "clifford_action",
     ]
     assert all(r["pass"] for r in reports)
+
+
+def test_selftest_narrow_window_exits_before_any_check(capsys, monkeypatch):
+    from cqca import oracle
+
+    def fail(*args, **kwargs):
+        raise AssertionError("no check may run on a window that is too small")
+
+    for name in ("_selftest_family", "check_weyl_relation", "check_commutation"):
+        monkeypatch.setattr(oracle, name, fail)
+    # at p = 61 the family of a 2-site window would hold 13.8M vectors
+    for p in ("3", "61"):
+        code, out, err = run(capsys, ["selftest", "--p", p, "--sites", "2"])
+        assert code == 2
+        assert out == ""
+        assert err.strip() == "error: window [0, 1] too small for radius 1"

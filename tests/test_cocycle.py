@@ -3,21 +3,26 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cqca import (
+    GeneratorWord,
     LaurentPoly,
-    NoValidPhase,
+    Local,
     NotSymplectic,
-    PhaseExponent,
     PhaseFunction,
     PhaseVector,
     ScaMatrix,
+    Shear,
+    UpperShear,
     beta,
     default_phase,
     from_recipe,
     identity,
     local_f,
     multiply_word,
+    palindromize,
     phase_group_order,
     random_word,
     shear_g,
@@ -40,6 +45,47 @@ def rand_vector(rng, p, radius=2, d=1):
     return PhaseVector(LaurentPoly(p, d, plus), LaurentPoly(p, d, minus))
 
 
+def fold_reference(phi, xi):
+    """phi(xi) by folding the cocycle over the single-cell components of xi.
+
+    Components are visited in ascending cell order, plus before minus; each
+    step adds phi of the scalar multiple c * e, which is
+    C(e, e) * c(c-1)/2 + c * gen, and the correction C(partial, c * e)
+    computed with beta on the running sums and their images.
+    """
+    s = phi.automaton
+    p = s.p
+    order = phi.order
+    step = order // p
+    c1 = s.column_plus()
+    c2 = s.column_minus()
+    diag_plus = -beta(c1, c1) % p
+    diag_minus = -beta(c2, c2) % p
+    total = 0
+    partial = PhaseVector.zero(p, s.d)
+    image = PhaseVector.zero(p, s.d)
+    for x in sorted(set(xi.plus.terms) | set(xi.minus.terms)):
+        for comp_plus in (True, False):
+            c = xi.plus.terms.get(x, 0) if comp_plus else xi.minus.terms.get(x, 0)
+            if c == 0:
+                continue
+            mono = LaurentPoly.monomial(p, s.d, x, c)
+            if comp_plus:
+                v = PhaseVector(mono, LaurentPoly.zero(p, s.d))
+                v_img = PhaseVector(mono * c1.plus, mono * c1.minus)
+                diag, gen = diag_plus, phi.gen_plus
+            else:
+                v = PhaseVector(LaurentPoly.zero(p, s.d), mono)
+                v_img = PhaseVector(mono * c2.plus, mono * c2.minus)
+                diag, gen = diag_minus, phi.gen_minus
+            val = (step * ((diag * (c * (c - 1) // 2)) % p) + c * gen) % order
+            corr = (beta(partial, v) - beta(image, v_img)) % p
+            total = (total + val + step * corr) % order
+            partial = partial + v
+            image = image + v_img
+    return total
+
+
 # -- the phase group -----------------------------------------------------------
 
 
@@ -51,20 +97,6 @@ def test_phase_group_order():
         phase_group_order(4)
 
 
-def test_phase_exponent_arithmetic():
-    a = PhaseExponent(3, 4)
-    b = PhaseExponent(2, 4)
-    assert (a * b).numerator == 1
-    assert (a**2).numerator == 2
-    assert a.inverse() * a == PhaseExponent(0, 4)
-    with pytest.raises(ValueError):
-        a * PhaseExponent(1, 3)
-    with pytest.raises(TypeError):
-        a * 1
-    with pytest.raises(ValueError):
-        PhaseExponent(1, 0)
-
-
 # -- phase function construction --------------------------------------------------
 
 
@@ -73,16 +105,22 @@ def test_phase_function_requires_symplectic():
     u = LaurentPoly.monomial(2, 1, 1)
     bad = ScaMatrix(one, u, zero, one)
     with pytest.raises(NotSymplectic):
-        PhaseFunction(bad, PhaseExponent(0, 4), PhaseExponent(0, 4))
-    with pytest.raises(ValueError):
-        PhaseFunction(identity(2), PhaseExponent(0, 2), PhaseExponent(0, 2))
+        PhaseFunction(bad, 0, 0)
+    for gen in (0.0, "0", True, None):
+        with pytest.raises(TypeError):
+            PhaseFunction(identity(2), gen, 0)
+        with pytest.raises(TypeError):
+            PhaseFunction(identity(2), 0, gen)
+    # generator exponents are reduced into [0, order)
+    phi = PhaseFunction(identity(2), 5, -1)
+    assert (phi.gen_plus, phi.gen_minus) == (1, 3)
 
 
 def test_evaluate_base_cases():
     rng = random.Random(71)
     for p in (2, 3, 5):
         phi = default_phase(identity(p))
-        assert phi.evaluate(PhaseVector.zero(p)).numerator == 0
+        assert phi.evaluate(PhaseVector.zero(p)) == 0
         assert phi.evaluate(PhaseVector.e_plus(p)) == phi.gen_plus
         assert phi.evaluate(PhaseVector.e_minus(p)) == phi.gen_minus
         for _ in range(20):
@@ -94,10 +132,10 @@ def test_identity_automaton_evaluates_to_zero():
     rng = random.Random(72)
     for p in (2, 3, 5):
         phi = default_phase(identity(p))
-        assert (phi.gen_plus.numerator, phi.gen_minus.numerator) == (0, 0)
+        assert (phi.gen_plus, phi.gen_minus) == (0, 0)
         for _ in range(50):
             xi = rand_vector(rng, p)
-            assert phi.evaluate(xi).numerator == 0
+            assert phi.evaluate(xi) == 0
 
 
 def test_translation_invariance_of_evaluate():
@@ -131,8 +169,8 @@ def test_default_phase_odd_p_picks_zero():
             s = multiply_word(random_word(p, rng.randint(0, 5), 2, seed=trial))
             phi = default_phase(s)
             assert phi.order == p
-            assert phi.gen_plus.numerator == 0
-            assert phi.gen_minus.numerator == 0
+            assert phi.gen_plus == 0
+            assert phi.gen_minus == 0
 
 
 def test_default_phase_sees_diagonal_correction():
@@ -141,8 +179,8 @@ def test_default_phase_sees_diagonal_correction():
     s = from_recipe(f, LaurentPoly.one(2))
     phi = default_phase(s)
     assert phi.generator_diagonals() == (1, 0)
-    assert phi.gen_plus.numerator == 1
-    assert phi.gen_minus.numerator == 0
+    assert phi.gen_plus == 1
+    assert phi.gen_minus == 0
     assert validate_cocycle(phi, radius=2)
 
 
@@ -159,11 +197,7 @@ def test_validate_cocycle_catches_corrupted_generator():
     s = shear_g(2, 1)
     good = default_phase(s)
     assert validate_cocycle(good, radius=2)
-    bad = PhaseFunction(
-        s,
-        PhaseExponent(good.gen_plus.numerator + 1, 4),
-        good.gen_minus,
-    )
+    bad = PhaseFunction(s, good.gen_plus + 1, good.gen_minus)
     assert not validate_cocycle(bad, radius=2)
 
 
@@ -192,11 +226,9 @@ def test_cocycle_identity_from_fold():
                 xi = rand_vector(rng, p)
                 eta = rand_vector(rng, p)
                 expected = (
-                    phi.evaluate(xi).numerator
-                    + phi.evaluate(eta).numerator
-                    + step * phi.correction(xi, eta)
+                    phi.evaluate(xi) + phi.evaluate(eta) + step * phi.correction(xi, eta)
                 ) % order
-                assert phi.evaluate(xi + eta).numerator == expected
+                assert phi.evaluate(xi + eta) == expected
 
 
 def test_scalar_multiple_closed_form():
@@ -209,8 +241,8 @@ def test_scalar_multiple_closed_form():
             vec = PhaseVector(
                 LaurentPoly.constant(p, 1, c), LaurentPoly.zero(p)
             )
-            expected = (dplus * (c * (c - 1) // 2) + c * phi.gen_plus.numerator) % p
-            assert phi.evaluate(vec).numerator == expected
+            expected = (dplus * (c * (c - 1) // 2) + c * phi.gen_plus) % p
+            assert phi.evaluate(vec) == expected
 
 
 def test_composition_consistency():
@@ -227,7 +259,7 @@ def test_composition_consistency():
             phi_t = default_phase(t)
 
             def psi(v):
-                return phi_t.evaluate(v) * phi_s.evaluate(t.apply(v))
+                return (phi_t.evaluate(v) + phi_s.evaluate(t.apply(v))) % order
 
             for _ in range(40):
                 xi = rand_vector(rng, p, radius=1)
@@ -236,10 +268,8 @@ def test_composition_consistency():
                     beta(xi, eta)
                     - beta(st.apply(xi), st.apply(eta))
                 ) % p
-                expected = (
-                    psi(xi).numerator + psi(eta).numerator + step * corr
-                ) % order
-                assert psi(xi + eta).numerator == expected
+                expected = (psi(xi) + psi(eta) + step * corr) % order
+                assert psi(xi + eta) == expected
 
 
 def test_evaluated_phases_live_in_the_right_group():
@@ -248,12 +278,83 @@ def test_evaluated_phases_live_in_the_right_group():
         s = shear_g(p, 2)
         phi = default_phase(s)
         for _ in range(30):
+            assert phi.order == expected_order
             val = phi.evaluate(rand_vector(rng, p))
-            assert val.order == expected_order
-            assert 0 <= val.numerator < expected_order
+            assert isinstance(val, int)
+            assert 0 <= val < expected_order
 
 
 def test_evaluate_rejects_foreign_vectors():
     phi = default_phase(identity(3))
     with pytest.raises(ValueError):
         phi.evaluate(PhaseVector.zero(5))
+
+
+# -- the closed form against the fold ------------------------------------------------
+
+PRIMES = (2, 3, 5, 1048573, 10**18 + 3)
+
+
+@st.composite
+def phase_inputs(draw):
+    """A phase function of a shifted automaton with arbitrary generator ints, and a vector.
+
+    d = 1 automata are generator words; d = 2 automata are products of
+    recipe matrices built from random palindromes.
+    """
+    p = draw(st.sampled_from(PRIMES))
+    d = draw(st.sampled_from((1, 2)))
+    coeff = st.integers(0, p - 1)
+    unit = st.integers(1, p - 1)
+    if d == 1:
+        letter = st.one_of(
+            st.builds(Shear, st.integers(0, 2), unit),
+            st.builds(UpperShear, st.integers(0, 2), unit),
+            st.builds(Local, unit),
+        )
+        s = multiply_word(GeneratorWord(p, tuple(draw(st.lists(letter, max_size=4)))))
+        cell = st.integers(-4, 4)
+        offset = draw(st.integers(-3, 3))
+    else:
+        small = st.tuples(st.integers(-1, 1), st.integers(-1, 1))
+        palindrome = st.dictionaries(small, coeff, max_size=3).map(
+            lambda terms: palindromize(LaurentPoly(p, 2, terms))
+        )
+        s = identity(p, 2)
+        for _ in range(draw(st.integers(0, 2))):
+            s = s @ from_recipe(draw(palindrome), draw(palindrome))
+        cell = st.tuples(st.integers(-2, 2), st.integers(-2, 2))
+        offset = draw(small)
+    phi = PhaseFunction(s.shifted(offset), draw(st.integers()), draw(st.integers()))
+    plus = draw(st.dictionaries(cell, coeff, max_size=6))
+    minus = draw(st.dictionaries(cell, coeff, max_size=6))
+    return phi, PhaseVector(LaurentPoly(p, d, plus), LaurentPoly(p, d, minus))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(phase_inputs())
+def test_evaluate_matches_fold_reference(case):
+    phi, xi = case
+    assert phi.evaluate(xi) == fold_reference(phi, xi)
+
+
+def test_default_phase_takes_the_least_admissible_exponents():
+    """Each exponent is the least g with p*g == -step*kappa*C(e, e) (mod order)."""
+    rng = random.Random(78)
+    for p in (2, 3, 5):
+        order = phase_group_order(p)
+        step = order // p
+        kappa = p * (p - 1) // 2
+        diagonals = set()
+        for trial in range(16):
+            s = multiply_word(random_word(p, rng.randint(0, 6), 3, seed=400 + trial))
+            phi = default_phase(s)
+            for e, gen in (
+                (PhaseVector.e_plus(p), phi.gen_plus),
+                (PhaseVector.e_minus(p), phi.gen_minus),
+            ):
+                diag = phi.correction(e, e)
+                diagonals.add(diag)
+                admissible = [g for g in range(order) if (p * g + step * kappa * diag) % order == 0]
+                assert gen == admissible[0]
+        assert len(diagonals) > 1  # both kinds of generator occur

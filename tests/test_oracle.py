@@ -1,13 +1,13 @@
 """Operator oracle tests: exact Weyl operators on finite windows."""
 
 import random
+import time
 
 import numpy as np
 import pytest
 
 from cqca import (
     LaurentPoly,
-    PhaseExponent,
     PhaseFunction,
     PhaseVector,
     beta,
@@ -19,6 +19,7 @@ from cqca import (
     shift,
     sigma,
 )
+from cqca import oracle
 from cqca.oracle import (
     MAX_WINDOW_DIM,
     Window,
@@ -61,6 +62,14 @@ def test_window_rejects_bad_ranges():
     with pytest.raises(ValueError):
         Window(5, 0, 5)
     assert MAX_WINDOW_DIM == 4096
+
+
+def test_window_cap_is_checked_before_the_dimension():
+    # 2**(10**8) alone takes about half a second to compute
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="exceeds"):
+        Window(2, 0, 10**8 - 1)
+    assert time.perf_counter() - start < 0.1
 
 
 def test_weyl_matrix_zero_vector_is_identity():
@@ -227,7 +236,7 @@ def test_clifford_action_reference_automata():
 
 def test_clifford_action_detects_wrong_phase():
     s = shear_g(2, 1, 1)
-    bad = PhaseFunction(s, PhaseExponent(1, 4), PhaseExponent(0, 4))
+    bad = PhaseFunction(s, 1, 0)
     assert not check_clifford_action(s, bad, Window(2, 0, 2))
     # At odd p every generator assignment is admissible (two assignments
     # differ by a character), so the wrong phase is another automaton's.
@@ -270,3 +279,26 @@ def test_selftest_report_shape_and_verdicts():
     assert by_name["weyl_relation"]["cases"] == 36 * 36
     # identity, shift, local_f(1), shear, and three product recipes
     assert by_name["clifford_action"]["cases"] == 7
+
+
+def test_selftest_samples_pairs_past_the_budget(monkeypatch):
+    checked = []
+    real = oracle.check_weyl_relation
+
+    def counting(xi, eta, window):
+        checked.append((xi, eta))
+        return real(xi, eta, window)
+
+    monkeypatch.setattr(oracle, "SELFTEST_PAIR_BUDGET", 100)
+    monkeypatch.setattr(oracle, "check_weyl_relation", counting)
+    by_name = {r["check"]: r for r in run_selftest(2, 3)}
+    assert all(r["pass"] for r in by_name.values())
+    assert by_name["weyl_relation"]["cases"] == by_name["commutation"]["cases"] == 100
+    assert by_name["unitarity"]["cases"] == 36
+    assert len(checked) == 100
+    assert len(set(checked)) > 50
+
+    # a wrong commutation phase is still caught on the sample
+    monkeypatch.setattr(oracle, "sigma", lambda xi, eta: 0)
+    by_name = {r["check"]: r for r in run_selftest(2, 3)}
+    assert not by_name["commutation"]["pass"]
