@@ -11,7 +11,6 @@ oracle on finite windows, and a CLI wrapping the lot.
 
 from .ffield import check_prime, inv_mod, is_prime
 from .laurent import (
-    NEG_INF,
     LaurentPoly,
     basis_element,
     palindrome_coeffs,
@@ -26,7 +25,6 @@ from .sca import (
     ScaMatrix,
     SymplecticCertificate,
     classify,
-    classify_or_none,
     from_recipe,
     identity,
     local_f,
@@ -61,7 +59,6 @@ __all__ = [
     "check_prime",
     "inv_mod",
     "is_prime",
-    "NEG_INF",
     "LaurentPoly",
     "basis_element",
     "palindrome_coeffs",
@@ -77,7 +74,6 @@ __all__ = [
     "FactorizationMismatch",
     "InvariantViolation",
     "classify",
-    "classify_or_none",
     "identity",
     "shift",
     "shear_g",

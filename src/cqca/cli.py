@@ -11,7 +11,8 @@ entries are polynomial strings in the grammar
 
 Whitespace is insignificant, coefficients are unsigned ints (a leading
 term sign is accepted and reduced mod p), exponents beyond +-2^31 are
-rejected.  Rendering is deterministic: terms in ascending exponent order,
+rejected.  Coefficients, exponents and variable indices are ASCII digits
+0-9.  Rendering is deterministic: terms in ascending exponent order,
 coefficients reduced to [0, p).
 
 Exit codes: 0 success, 1 domain rejection (non-symplectic input, failed
@@ -26,6 +27,7 @@ import argparse
 import contextlib
 import functools
 import json
+import re
 import sys
 
 import numpy as np
@@ -33,7 +35,7 @@ import numpy as np
 from . import factor as factor_mod
 from . import sca
 from .cocycle import default_phase, validate_cocycle
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, _check_ring
 from .phasespace import PhaseVector
 
 __all__ = ["PolyParseError", "parse_poly", "main"]
@@ -42,119 +44,96 @@ _EXP_LIMIT = 2**31
 
 
 class PolyParseError(ValueError):
-    """Syntax error in a polynomial string, with the byte offset attached."""
+    """Syntax error in a polynomial string, with the character offset attached."""
 
     def __init__(self, message: str, offset: int):
         super().__init__(f"syntax error at offset {offset}: {message}")
         self.offset = offset
 
 
-class _Scanner:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self):
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def take(self):
-        ch = self.peek()
-        self.pos += 1
-        return ch
-
-    def read_digits(self) -> str:
-        start = self.pos
-        while self.peek().isdigit():
-            self.pos += 1
-        return self.text[start : self.pos]
-
-    def read_int(self, what: str) -> int:
-        start = self.pos
-        sign = 1
-        if self.peek() in "+-":
-            sign = -1 if self.take() == "-" else 1
-        digits = self.read_digits()
-        if not digits:
-            raise PolyParseError(f"expected {what}", self.pos)
-        value = sign * int(digits)
-        if not -_EXP_LIMIT <= value <= _EXP_LIMIT:
-            raise PolyParseError(f"exponent {value} is beyond +-2^31", start)
-        return value
+# One term: its sign, coefficient and first variable factor with an optional
+# exponent.  Every part may match empty, so a match at any offset succeeds;
+# parse_poly and _factor turn empty parts into errors at their offsets.
+# Further factors of the same term match _FACTOR.
+_TERM = re.compile(r"\s*([+-]?)\s*([0-9]*)\s*(?:u([0-9]*)\s*(?:\^\s*([+-]?)([0-9]*))?)?")
+_FACTOR = re.compile(r"\s*u([0-9]*)\s*(?:\^\s*([+-]?)([0-9]*))?")
 
 
 def parse_poly(text: str, p: int, d: int = 1) -> LaurentPoly:
-    """Parse a polynomial string; raises PolyParseError with a byte offset."""
-    sc = _Scanner(text)
+    """Parse a polynomial string; raises PolyParseError with a character offset."""
     terms = {}
-    sign = 1
-    sc.skip_ws()
-    if sc.pos == len(text):
-        raise PolyParseError("empty polynomial", sc.pos)
-    if sc.peek() in "+-":
-        sign = -1 if sc.take() == "-" else 1
+    pos = 0
     while True:
-        coeff, exponent = _parse_term(sc, d)
-        terms[exponent] = terms.get(exponent, 0) + sign * coeff
-        sc.skip_ws()
-        if sc.pos == len(text):
-            break
-        ch = sc.take()
-        if ch == "+":
-            sign = 1
-        elif ch == "-":
-            sign = -1
+        m = _TERM.match(text, pos)
+        sign, digits, index = m.group(1, 2, 3)
+        if not sign:  # optional before the first term only
+            at = m.start(1)
+            if at == len(text):
+                if pos == 0:
+                    raise PolyParseError("empty polynomial", at)
+                break
+            if pos:
+                raise PolyParseError(f"expected '+' or '-', found {text[at]!r}", at)
+        if digits:
+            value = digits.lstrip("0") or "0"
+            try:
+                coeff = int(value)
+            except ValueError:  # longer than Python's int conversion limit
+                raise PolyParseError(
+                    f"coefficient of {len(value)} digits is too long", m.start(2)
+                ) from None
+        elif index is None:
+            raise PolyParseError("expected a term", m.end())
         else:
-            raise PolyParseError(f"expected '+' or '-', found {ch!r}", sc.pos - 1)
-        sc.skip_ws()
-    return LaurentPoly(p, d, terms)
+            coeff = 1
+        exponents = [0] * d
+        pos = m.end()
+        if index is not None:
+            factor, group = m, 3
+            while factor:
+                i, e = _factor(factor, group, text, d)
+                exponents[i] += e
+                if not -_EXP_LIMIT <= exponents[i] <= _EXP_LIMIT:
+                    raise PolyParseError("accumulated exponent is beyond +-2^31", factor.end())
+                pos = factor.end()
+                factor, group = _FACTOR.match(text, pos), 1
+        key = tuple(exponents)
+        terms[key] = terms.get(key, 0) + (-coeff if sign == "-" else coeff)
+    _check_ring(p, d)
+    canonical = {}
+    for key, c in terms.items():
+        c %= p
+        if c:
+            canonical[key] = c
+    return LaurentPoly._raw(p, d, canonical)
 
 
-def _parse_term(sc: _Scanner, d: int):
-    sc.skip_ws()
-    coeff = None
-    if sc.peek().isdigit():
-        coeff = int(sc.read_digits())
-    exponents = [0] * d
-    saw_var = False
-    while True:
-        sc.skip_ws()
-        if sc.peek() != "u":
-            break
-        sc.take()
-        if d == 1:
-            index = 0
-            if sc.peek().isdigit():
-                raise PolyParseError(
-                    "one-variable polynomials use plain 'u' (no index)", sc.pos
-                )
-        else:
-            digits = sc.read_digits()
-            if not digits:
-                raise PolyParseError(f"expected a variable index 1..{d}", sc.pos)
-            index = int(digits) - 1
-            if not 0 <= index < d:
-                raise PolyParseError(
-                    f"variable index {digits} out of range 1..{d}", sc.pos - len(digits)
-                )
-        sc.skip_ws()
-        e = 1
-        if sc.peek() == "^":
-            sc.take()
-            sc.skip_ws()
-            e = sc.read_int("an exponent")
-        exponents[index] += e
-        if not -_EXP_LIMIT <= exponents[index] <= _EXP_LIMIT:
-            raise PolyParseError("accumulated exponent is beyond +-2^31", sc.pos)
-        saw_var = True
-    if coeff is None and not saw_var:
-        raise PolyParseError("expected a term", sc.pos)
-    if coeff is None:
-        coeff = 1
-    return coeff, tuple(exponents)
+def _factor(m, g, text: str, d: int):
+    """(variable index, exponent) of the factor whose index digits are group g of m."""
+    digits, sign, exponent = m.group(g, g + 1, g + 2)
+    if d == 1:
+        if digits:
+            raise PolyParseError("one-variable polynomials use plain 'u' (no index)", m.start(g))
+        index = 0
+    elif not digits:
+        raise PolyParseError(f"expected a variable index 1..{d}", m.start(g))
+    else:
+        value = digits.lstrip("0")
+        index = int(value or "0") - 1 if len(value) <= len(str(d)) else d
+        if not 0 <= index < d:
+            raise PolyParseError(f"variable index {digits} out of range 1..{d}", m.start(g))
+    if exponent is None:
+        return index, 1
+    if not exponent:
+        at = m.start(g + 2)
+        # A missing unsigned exponent at the very end is reported one past it.
+        raise PolyParseError("expected an exponent", at + 1 if at == len(text) and not sign else at)
+    value = exponent.lstrip("0") or "0"
+    e = int(value) if len(value) <= 10 else _EXP_LIMIT + 1
+    if e > _EXP_LIMIT:
+        minus = "-" if sign == "-" else ""
+        raise PolyParseError(f"exponent {minus}{value} is beyond +-2^31", m.start(g + 1))
+    return index, -e if sign == "-" else e
 
 
 # -- matrix I/O -----------------------------------------------------------------

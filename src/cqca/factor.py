@@ -107,11 +107,29 @@ def letter_matrix(letter, p) -> sca.ScaMatrix:
 
 
 def multiply_word(word: GeneratorWord) -> sca.ScaMatrix:
-    """Product of the letter matrices, leftmost first; empty word gives identity."""
-    out = sca.identity(word.p, 1)
+    """Product of the letter matrices, leftmost first; empty word gives identity.
+
+    The running product ((a, b), (c, d)) takes the letters one by one as the
+    column operations their matrices define: a Shear g adds g * col_minus to
+    col_plus, an UpperShear g adds g * col_plus to col_minus, Local(k) maps
+    (a, b, c, d) to (-k^-1 b, k a, -k^-1 d, k c), and a Shift moves all four
+    entries.  g, k and -k^-1 are read off letter_matrix.
+    """
+    p = word.p
+    one, zero = LaurentPoly.one(p, 1), LaurentPoly.zero(p, 1)
+    a, b, c, d = one, zero, zero, one
     for letter in word.letters:
-        out = out @ letter_matrix(letter, word.p)
-    return out
+        m = letter_matrix(letter, p)
+        if isinstance(letter, Shear):
+            a, c = a + m.mp * b, c + m.mp * d
+        elif isinstance(letter, UpperShear):
+            b, d = b + m.pm * a, d + m.pm * c
+        elif isinstance(letter, Local):
+            k, minus_k_inv = m.pm.constant_coeff(), m.mp.constant_coeff()
+            a, b, c, d = b * minus_k_inv, a * k, d * minus_k_inv, c * k
+        else:
+            a, b, c, d = a * m.pp, b * m.pp, c * m.pp, d * m.pp
+    return sca.ScaMatrix(a, b, c, d)
 
 
 def _emit_shears(q: LaurentPoly, letters: list, cls) -> None:

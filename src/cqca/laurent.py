@@ -27,7 +27,6 @@ from .ffield import check_prime, inv_mod
 
 __all__ = [
     "LaurentPoly",
-    "NEG_INF",
     "palindromize",
     "basis_element",
     "palindrome_coeffs",
@@ -65,6 +64,13 @@ def _coeff_window(poly, lo, length):
     return window
 
 
+def _check_ring(p, d):
+    """Raise ValueError unless p is a prime modulus and d a positive variable count."""
+    check_prime(p)
+    if not isinstance(d, int) or d < 1:
+        raise ValueError(f"number of variables must be a positive int, got {d!r}")
+
+
 def _as_exponent(x, d):
     if isinstance(x, int) and not isinstance(x, bool):
         if d == 1:
@@ -85,9 +91,7 @@ class LaurentPoly:
     __slots__ = ("p", "d", "terms", "_hash")
 
     def __init__(self, p, d, terms=None):
-        check_prime(p)
-        if not isinstance(d, int) or d < 1:
-            raise ValueError(f"number of variables must be a positive int, got {d!r}")
+        _check_ring(p, d)
         acc = {}
         if terms:
             for e, c in terms.items():
@@ -423,11 +427,11 @@ def palindrome_divmod(f: LaurentPoly, h: LaurentPoly):
     lead_inv = inv_mod(h.coeff(dh), p)
     q = LaurentPoly.zero(p, 1)
     r = f
-    while not r.is_zero() and r.degree() >= dh:
-        dr = r.degree()
-        c = (r.coeff(dr) * lead_inv) % p
-        k = dr - dh
-        t = basis_element(p, k) * c
+    dr = r.degree()  # NEG_INF once r is zero, which ends the loop
+    while dr >= dh:
+        c = (r.terms[(dr,)] * lead_inv) % p
+        t = basis_element(p, dr - dh) * c
         q = q + t
         r = r - t * h
+        dr = r.degree()
     return q, r

@@ -381,13 +381,6 @@ def classify(s: ScaMatrix) -> SymplecticCertificate:
     return SymplecticCertificate(shift=a, core=core)
 
 
-def classify_or_none(s: ScaMatrix):
-    try:
-        return classify(s)
-    except NotSymplectic:
-        return None
-
-
 # -- named constructors ---------------------------------------------------------
 
 

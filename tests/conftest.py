@@ -1,6 +1,16 @@
-"""Shared fixtures; collects acceptance verdicts for the terminal summary."""
+"""Shared fixtures; collects acceptance verdicts for the terminal summary.
+
+Property tests run under one hypothesis profile: each test seeds its
+examples from a hash of the test function, nothing is stored between runs,
+and there is no per-example deadline, so every run checks the same
+examples.
+"""
 
 import pytest
+from hypothesis import settings
+
+settings.register_profile("deterministic", derandomize=True, database=None, deadline=None)
+settings.load_profile("deterministic")
 
 acceptance_lines = []
 

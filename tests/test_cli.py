@@ -3,9 +3,12 @@
 import io
 import json
 import random
+import sys
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cqca import LaurentPoly, ScaMatrix, identity, local_f, shear_g, shift
 from cqca.cli import PolyParseError, main, parse_poly
@@ -60,6 +63,23 @@ def test_parse_poly_rejects_bad_syntax():
     except PolyParseError as exc:
         err = exc
     assert err is not None and err.offset == 4
+    # Coefficients, exponents and indices are ASCII digits only.
+    with pytest.raises(PolyParseError, match="expected a term") as info:
+        parse_poly("\u0661\u0662", 5)  # Arabic-Indic twelve
+    assert info.value.offset == 0
+    with pytest.raises(PolyParseError, match="expected an exponent") as info:
+        parse_poly("u^\u00b2", 5)  # superscript two
+    assert info.value.offset == 2
+    with pytest.raises(PolyParseError, match="expected a term") as info:
+        parse_poly("\u00b2", 5)
+    assert info.value.offset == 0
+    limit = sys.get_int_max_str_digits()
+    if limit:
+        with pytest.raises(PolyParseError, match="is too long") as info:
+            parse_poly("1 + " + "7" * (limit + 1), 5)
+        assert info.value.offset == 4
+        # leading zeros do not count towards the limit
+        assert parse_poly("0" * limit + "7", 5) == LaurentPoly.constant(5, 1, 2)
 
 
 def test_render_parse_round_trip_fuzz():
@@ -73,6 +93,160 @@ def test_render_parse_round_trip_fuzz():
             terms[e] = rng.randrange(p)
         poly = LaurentPoly(p, d, terms)
         assert parse_poly(str(poly), p, d) == poly
+
+
+# -- the regex parser against the character scanner it replaced -------------------
+
+
+class _Scanner:
+    """Character-by-character reader of the polynomial grammar (test reference)."""
+
+    def __init__(self, text: str):
+        self.text = text
+        self.pos = 0
+
+    def skip_ws(self):
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
+            self.pos += 1
+
+    def peek(self):
+        return self.text[self.pos] if self.pos < len(self.text) else ""
+
+    def take(self):
+        ch = self.peek()
+        self.pos += 1
+        return ch
+
+    def read_digits(self) -> str:
+        start = self.pos
+        while self.peek().isdigit():
+            self.pos += 1
+        return self.text[start : self.pos]
+
+    def read_int(self, what: str) -> int:
+        start = self.pos
+        sign = 1
+        if self.peek() in "+-":  # also true at the end, where peek() is ""
+            sign = -1 if self.take() == "-" else 1
+        digits = self.read_digits()
+        if not digits:
+            raise PolyParseError(f"expected {what}", self.pos)
+        value = sign * int(digits)
+        if not -(2**31) <= value <= 2**31:
+            raise PolyParseError(f"exponent {value} is beyond +-2^31", start)
+        return value
+
+
+def scanner_parse_poly(text: str, p: int, d: int = 1) -> LaurentPoly:
+    sc = _Scanner(text)
+    terms = {}
+    sign = 1
+    sc.skip_ws()
+    if sc.pos == len(text):
+        raise PolyParseError("empty polynomial", sc.pos)
+    if sc.peek() in "+-":
+        sign = -1 if sc.take() == "-" else 1
+    while True:
+        coeff, exponent = _scanner_parse_term(sc, d)
+        terms[exponent] = terms.get(exponent, 0) + sign * coeff
+        sc.skip_ws()
+        if sc.pos == len(text):
+            break
+        ch = sc.take()
+        if ch == "+":
+            sign = 1
+        elif ch == "-":
+            sign = -1
+        else:
+            raise PolyParseError(f"expected '+' or '-', found {ch!r}", sc.pos - 1)
+        sc.skip_ws()
+    return LaurentPoly(p, d, terms)
+
+
+def _scanner_parse_term(sc: _Scanner, d: int):
+    sc.skip_ws()
+    coeff = None
+    if sc.peek().isdigit():
+        coeff = int(sc.read_digits())
+    exponents = [0] * d
+    saw_var = False
+    while True:
+        sc.skip_ws()
+        if sc.peek() != "u":
+            break
+        sc.take()
+        if d == 1:
+            index = 0
+            if sc.peek().isdigit():
+                raise PolyParseError("one-variable polynomials use plain 'u' (no index)", sc.pos)
+        else:
+            digits = sc.read_digits()
+            if not digits:
+                raise PolyParseError(f"expected a variable index 1..{d}", sc.pos)
+            index = int(digits) - 1
+            if not 0 <= index < d:
+                raise PolyParseError(
+                    f"variable index {digits} out of range 1..{d}", sc.pos - len(digits)
+                )
+        sc.skip_ws()
+        e = 1
+        if sc.peek() == "^":
+            sc.take()
+            sc.skip_ws()
+            e = sc.read_int("an exponent")
+        exponents[index] += e
+        if not -(2**31) <= exponents[index] <= 2**31:
+            raise PolyParseError("accumulated exponent is beyond +-2^31", sc.pos)
+        saw_var = True
+    if coeff is None and not saw_var:
+        raise PolyParseError("expected a term", sc.pos)
+    if coeff is None:
+        coeff = 1
+    return coeff, tuple(exponents)
+
+
+def parse_outcome(parse, text, p, d):
+    """The parsed polynomial, or the message and offset of the syntax error."""
+    try:
+        return parse(text, p, d)
+    except PolyParseError as exc:
+        return str(exc), exc.offset
+
+
+# Near-grammatical strings: terms with optional signs, coefficients, indexed or
+# plain variables and exponents (at and past the +-2^31 limit), separated by
+# whitespace that str.isspace accepts, with at most one junk character put in.
+space = st.sampled_from(("", "", " ", "\t", "\n", "\x0b", "\x1c", "  "))
+number = st.sampled_from(("", "0", "1", "2", "12", "007", "2147483647", "2147483648", "99999999999"))
+variable = st.sampled_from(("u", "u", "u1", "u2", "u3", "u0", "u01"))
+caret = st.sampled_from(("", "", "^", "^-", "^+"))
+factor = st.tuples(space, variable, space, caret, space, number).map("".join)
+term = st.tuples(
+    space, st.sampled_from(("", "+", "-")), space, number, st.lists(factor, max_size=3).map("".join)
+).map("".join)
+junk = st.sampled_from(("", "", "@", "*", "x", "_", ".", "^", "u", "+"))
+grammar_texts = st.tuples(st.lists(term, max_size=4).map("".join), junk, st.integers(0, 60)).map(
+    lambda t: t[0][: t[2]] + t[1] + t[0][t[2] :]
+)
+poly_texts = st.one_of(st.text(alphabet="u^+-0123456789 \t\n@x*.", max_size=16), grammar_texts)
+
+
+@settings(max_examples=1000)
+@given(poly_texts, st.sampled_from((2, 3, 5)), st.sampled_from((1, 2, 3)))
+def test_parse_poly_matches_the_scanner_reference(text, p, d):
+    assert parse_outcome(parse_poly, text, p, d) == parse_outcome(scanner_parse_poly, text, p, d)
+
+
+def test_parse_poly_matches_the_scanner_reference_on_edge_cases():
+    cases = (
+        "u^", "u^ ", "u^-", "u^+", "u^- 2", "u ^ -2", "2 u", "2 3", "2^3", "+-u", "1 - - u",
+        "u2u", "u 1", "uu^2", "u^2147483648 u", "u^-2147483648u^-1", "- 2u", "  ", "",
+        "u03", "u0", "u1u2u1^-3", "3u1 ^ 2 u2", "1 +", "+",
+    )
+    for text in cases:
+        for d in (1, 2, 3):
+            got = parse_outcome(parse_poly, text, 3, d)
+            assert got == parse_outcome(scanner_parse_poly, text, 3, d), (text, d)
 
 
 # -- verify / classify --------------------------------------------------------------
@@ -159,6 +333,12 @@ def test_malformed_inputs_exit_two(tmp_path, capsys):
     bad_poly = tmp_path / "badpoly.json"
     bad_poly.write_text(json.dumps({"p": 2, "d": 1, "entries": [["1", "@"], ["0", "1"]]}))
     assert run(capsys, ["verify", str(bad_poly)])[0] == 2
+
+    for entry, offset in (("\u0661", 0), ("u^\u00b2", 2), ("7" * 5000, 0)):
+        bad_digits = tmp_path / "baddigits.json"
+        bad_digits.write_text(json.dumps({"p": 2, "d": 1, "entries": [["1", entry], ["0", "1"]]}))
+        code, _, err = run(capsys, ["verify", str(bad_digits)])
+        assert code == 2 and f"syntax error at offset {offset}:" in err
 
 
 # -- compose / invert / factor --------------------------------------------------------

@@ -340,7 +340,7 @@ def phase_inputs(draw):
     return phi, PhaseVector(LaurentPoly(p, d, plus), LaurentPoly(p, d, minus))
 
 
-@settings(max_examples=300, deadline=None, database=None)
+@settings(max_examples=300)
 @given(phase_inputs())
 def test_evaluate_matches_fold_reference(case):
     phi, xi = case

@@ -1,8 +1,12 @@
 """Tests for generator words and the Euclidean factorization."""
 
+import operator
 import random
+from functools import reduce
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cqca import (
     GeneratorWord,
@@ -55,6 +59,35 @@ def test_multiply_word_examples():
         LaurentPoly.one(2),
         LaurentPoly.zero(2),
     )
+
+
+def fold_reference(word):
+    """The word multiplied out as one general matrix product per letter."""
+    letters = (letter_matrix(let, word.p) for let in word.letters)
+    return reduce(operator.matmul, letters, identity(word.p))
+
+
+@st.composite
+def generator_words(draw):
+    """Words with every letter kind, a leading shift and hollow shear indices p^k."""
+    p = draw(st.sampled_from((2, 3, 5, 1048573, 2**61 - 1)))
+    unit = st.integers(1, p - 1)
+    index = st.one_of(st.integers(0, 3), st.sampled_from((p, p**2)))
+    letter = st.one_of(
+        st.builds(Shear, index, unit),
+        st.builds(UpperShear, index, unit),
+        st.builds(Local, unit),
+    )
+    letters = draw(st.lists(letter, max_size=10))
+    a = draw(st.integers(-3, 3))
+    if a or not letters:
+        letters = [Shift(a)] + letters
+    return GeneratorWord(p, tuple(letters))
+
+
+@given(generator_words())
+def test_multiply_word_matches_the_letter_matrix_fold(word):
+    assert multiply_word(word) == fold_reference(word)
 
 
 def test_word_invariants_enforced():

@@ -6,13 +6,13 @@ import random
 import pytest
 
 from cqca import (
-    NEG_INF,
     LaurentPoly,
     basis_element,
     palindrome_coeffs,
     palindrome_divmod,
     palindromize,
 )
+from cqca.laurent import NEG_INF
 
 
 def oracle_mul(f, g):
