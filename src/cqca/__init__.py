@@ -48,6 +48,7 @@ from .factor import (
 )
 from .cocycle import (
     PhaseFunction,
+    cocycle_failure,
     default_phase,
     phase_group_order,
     validate_cocycle,
@@ -93,6 +94,7 @@ __all__ = [
     "word_to_json_list",
     "word_from_json_list",
     "PhaseFunction",
+    "cocycle_failure",
     "default_phase",
     "phase_group_order",
     "validate_cocycle",

@@ -34,7 +34,7 @@ import numpy as np
 
 from . import factor as factor_mod
 from . import sca
-from .cocycle import default_phase, validate_cocycle
+from .cocycle import cocycle_failure, default_phase
 from .laurent import LaurentPoly, _check_ring
 from .phasespace import PhaseVector
 
@@ -125,9 +125,7 @@ def _factor(m, g, text: str, d: int):
     if exponent is None:
         return index, 1
     if not exponent:
-        at = m.start(g + 2)
-        # A missing unsigned exponent at the very end is reported one past it.
-        raise PolyParseError("expected an exponent", at + 1 if at == len(text) and not sign else at)
+        raise PolyParseError("expected an exponent", m.start(g + 2))
     value = exponent.lstrip("0") or "0"
     e = int(value) if len(value) <= 10 else _EXP_LIMIT + 1
     if e > _EXP_LIMIT:
@@ -254,8 +252,9 @@ def cmd_phase(args) -> int:
     s = load_matrix(args.matrix, args.p, args.d)
     phi = default_phase(s)
     radius = s.radius() + 1
-    if not validate_cocycle(phi, radius, seed=args.seed):
-        print("error: constructed phase failed cocycle validation", file=sys.stderr)
+    failure = cocycle_failure(phi, radius, seed=args.seed)
+    if failure is not None:
+        print(f"error: constructed phase failed cocycle validation: {failure}", file=sys.stderr)
         return 1
     _print_json(phi.to_json_dict())
     return 0

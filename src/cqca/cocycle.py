@@ -25,7 +25,21 @@ generator before the minus one.  Writing xi = sum_k c_k e_k in that order,
 
 C between two generators depends only on their kinds and their offset, and
 vanishes beyond twice the automaton radius, so PhaseFunction tabulates it
-once and evaluate() is this integer quadratic form, for every p and d.
+once and phi is this integer quadratic form, for every p and d.
+
+PhaseFunction.evaluate_batch computes it for a whole family of vectors held
+as one coefficient array (see phasespace): the linear and diagonal terms
+are sums over the cells, and each table entry at a forward offset adds one
+product of two shifted slices, so the cost is O(vectors * cells * radius).  For
+d > 1 the box is laid out flat with padded strides, so that each offset
+of the table lands on one flat offset and flat order is the lexicographic
+order of the cells.  evaluate() on one PhaseVector is the one-vector case.
+
+cocycle_failure checks the identity against the route that does not use
+the table: C computed with beta on images from ScaMatrix.apply_window.  It
+evaluates seeded families (or, for p = 2 on one-variable windows of at
+most five cells, every vector of the window) in a few batch calls, and
+names the first pair that fails.
 
 phi(e)^p must match the order of w(e), which constrains each generator
 exponent:
@@ -39,20 +53,18 @@ gen == C(e, e) (mod 2).  default_phase takes the least solutions.
 from __future__ import annotations
 
 import random
-from itertools import product
-from operator import sub
 
 import numpy as np
 
 from . import sca
 from .ffield import check_prime
-from .laurent import LaurentPoly
-from .phasespace import PhaseVector, beta
+from .phasespace import PhaseVector, beta, coefficient_dtype, random_coefficients
 
 __all__ = [
     "phase_group_order",
     "PhaseFunction",
     "default_phase",
+    "cocycle_failure",
     "validate_cocycle",
 ]
 
@@ -68,7 +80,7 @@ def phase_group_order(p: int) -> int:
 class PhaseFunction:
     """Cocycle solution determined by the automaton and two generator exponents."""
 
-    __slots__ = ("automaton", "order", "gen_plus", "gen_minus", "_table", "_diagonals")
+    __slots__ = ("automaton", "order", "gen_plus", "gen_minus", "_diagonals", "_cross", "_reach")
 
     def __init__(self, automaton: sca.ScaMatrix, gen_plus: int, gen_minus: int):
         if not automaton.is_symplectic():
@@ -80,13 +92,13 @@ class PhaseFunction:
         self.order = phase_group_order(automaton.p)
         self.gen_plus = gen_plus % self.order
         self.gen_minus = gen_minus % self.order
-        # _table[t, u, x] = C(e_t, u^x e_u) as an int mod p.  The second beta
+        # table[t, u, x] = C(e_t, u^x e_u) as an int mod p.  The second beta
         # term of C, beta(s e_t, u^x s e_u), is the coefficient at x of
         # (s e_t)_plus * reflect((s e_u)_minus); the first is 1 exactly at
         # (plus, minus, 0).
         p = automaton.p
         columns = (automaton.column_plus(), automaton.column_minus())
-        self._table = {
+        table = {
             (t, u, x): -c % p
             for t, image_t in enumerate(columns)
             for u, image_u in enumerate(columns)
@@ -94,32 +106,93 @@ class PhaseFunction:
         }
         origin = (0,) * automaton.d
         key = (_PLUS, _MINUS, origin)
-        self._table[key] = (self._table.get(key, 0) + 1) % p
-        self._diagonals = tuple(self._table.get((t, t, origin), 0) for t in (_PLUS, _MINUS))
+        table[key] = (table.get(key, 0) + 1) % p
+        self._diagonals = tuple(table.get((t, t, origin), 0) for t in (_PLUS, _MINUS))
+        # The cross terms of the quadratic form pair a component with a later
+        # one x cells on: the entries at offsets x > 0 (lexicographic order),
+        # and at x = 0 the plus component of a cell with its minus one.
+        self._cross = tuple(
+            (x, t, u, c)
+            for (t, u, x), c in table.items()
+            if c and (x > origin or x == origin and t < u)
+        )
+        self._reach = tuple(max(abs(x[a]) for _, _, x in table) for a in range(automaton.d))
 
     def generator_diagonals(self):
         """The two diagonal corrections C(e, e) (plus, minus), as ints mod p."""
         return self._diagonals
 
+    def evaluate_batch(self, coeffs) -> np.ndarray:
+        """phi of every vector of a family, as an array of exponents in [0, order).
+
+        coeffs has shape (vectors,) + box + (2,), one box axis per variable,
+        with coefficients in [0, p) (see phasespace).  Where the box lies
+        does not matter, since C is translation invariant.
+        """
+        s = self.automaton
+        p = s.p
+        coeffs = np.asarray(coeffs)
+        box = coeffs.shape[1:-1]
+        if len(box) != s.d or coeffs.shape[-1] != 2:
+            raise ValueError(f"expected a (vectors, box of {s.d} axes, 2) coefficient array")
+        # Every axis after the first is padded by the reach of the table on it,
+        # capped at n - 1 (longer offsets meet no pair of cells of the box).
+        # A table offset x then sits at the flat offset sum(x_a * stride_a),
+        # no two such offsets share one, a target outside the box lands on
+        # padding or past the end, and flat order is lexicographic order.
+        shape = box[:1] + tuple(n + min(t, n - 1) for n, t in zip(box[1:], self._reach[1:]))
+        strides = [1] * s.d
+        for a in range(s.d - 1, 0, -1):
+            strides[a - 1] = strides[a] * shape[a]
+        cells = strides[0] * shape[0]
+        # int64 bound: each sum below adds at most 2 * cells products of two
+        # numbers below p (coefficients, table values, partial sums reduced
+        # mod p) or below 2p (generator exponents), so it stays below
+        # 4 * cells * p^2.
+        dtype = coefficient_dtype(p, 4 * cells)
+        planes = np.zeros((2, len(coeffs)) + shape, dtype=dtype)
+        inside = (slice(None), slice(None)) + tuple(slice(0, n) for n in box)
+        planes[inside] = np.moveaxis(coeffs, -1, 0)
+        planes = planes.reshape(2, len(coeffs), cells)
+        gens = (self.gen_plus, self.gen_minus)
+        linear = sum(gen * plane.sum(axis=1) for gen, plane in zip(gens, planes))
+        halves = (planes * (planes - 1) // 2 % p).sum(axis=2) % p
+        quadratic = sum(diag * half for diag, half in zip(self._diagonals, halves))
+        for x, t, u, value in self._cross:
+            if all(abs(e) < n for e, n in zip(x, box)):
+                f = sum(e * stride for e, stride in zip(x, strides))
+                pairs = np.einsum("vi,vi->v", planes[t, :, : cells - f], planes[u, :, f:])
+                quadratic = (quadratic + value * (pairs % p)) % p
+        return (linear + self.order // p * quadratic) % self.order
+
     def evaluate(self, xi: PhaseVector) -> int:
-        """phi(xi) as an exponent in [0, order): the quadratic form of the module docstring."""
+        """phi(xi) as an exponent in [0, order): evaluate_batch on the box of xi.
+
+        Along each axis, gaps between the support cells that are wider than
+        the reach of the table shrink to one cell more than the reach first.
+        Cells that far apart share no cross term either way, so a sparse xi
+        costs a box of its support times the reach, not its span.
+        """
         s = self.automaton
         if xi.p != s.p or xi.d != s.d:
             raise ValueError("phase vector lives in a different ring")
-        components = sorted(
-            [(x, _PLUS, c) for x, c in xi.plus.terms.items()]
-            + [(x, _MINUS, c) for x, c in xi.minus.terms.items()]
-        )
-        gens = (self.gen_plus, self.gen_minus)
-        diagonals = self._diagonals
-        table = self._table
-        linear = quadratic = 0
-        for k, (y, u, c) in enumerate(components):
-            linear += c * gens[u]
-            quadratic += diagonals[u] * (c * (c - 1) // 2)
-            for x, t, c_j in components[:k]:
-                quadratic += c_j * c * table.get((t, u, tuple(map(sub, y, x))), 0)
-        return (linear + self.order // s.p * quadratic) % self.order
+        terms = [
+            (x, k, c) for k, poly in enumerate((xi.plus, xi.minus)) for x, c in poly.terms.items()
+        ]
+        if not terms:
+            return 0
+        places = []
+        for a, reach in enumerate(self._reach):
+            values = sorted({x[a] for x, _, _ in terms})
+            place = {values[0]: 0}
+            for left, right in zip(values, values[1:]):
+                place[right] = place[left] + min(right - left, reach + 1)
+            places.append(place)
+        box = tuple(place[max(place)] + 1 for place in places)
+        coeffs = np.zeros((1,) + box + (2,), dtype=coefficient_dtype(s.p))
+        for x, k, c in terms:
+            coeffs[(0,) + tuple(place[e] for place, e in zip(places, x)) + (k,)] = c
+        return int(self.evaluate_batch(coeffs)[0])
 
     def correction(self, xi: PhaseVector, eta: PhaseVector) -> int:
         """C(xi, eta) = beta(xi, eta) - beta(s xi, s eta), as an int mod p."""
@@ -141,70 +214,92 @@ def default_phase(s: sca.ScaMatrix) -> PhaseFunction:
     return PhaseFunction(s, 0, 0)
 
 
-def _validate_exhaustive_p2(phi: PhaseFunction, radius: int) -> bool:
-    """All pairs supported in [-radius, radius], vectorized over bitmasks (p = 2)."""
-    s = phi.automaton
-    order = phi.order
-    step = order // 2
-    width = 2 * radius + 1
-    nbits = 2 * width
-    count = 1 << nbits
-
-    def mask_vector(mask: int) -> PhaseVector:
-        plus = {}
-        minus = {}
-        for i in range(width):
-            if mask >> i & 1:
-                plus[i - radius] = 1
-            if mask >> (width + i) & 1:
-                minus[i - radius] = 1
-        return PhaseVector(LaurentPoly(2, 1, plus), LaurentPoly(2, 1, minus))
-
-    basis = [mask_vector(1 << i) for i in range(nbits)]
-    corr = np.array(
-        [[phi.correction(bi, bj) for bj in basis] for bi in basis], dtype=np.int64
-    )
-    bits = np.array(
-        [[(m >> i) & 1 for i in range(nbits)] for m in range(count)], dtype=np.int64
-    )
-    pair_corr = (bits @ corr @ bits.T) % 2
-    values = np.array(
-        [phi.evaluate(mask_vector(m)) for m in range(count)], dtype=np.int64
-    )
-    idx = np.arange(count)
-    sum_idx = idx[:, None] ^ idx[None, :]
-    lhs = values[sum_idx]
-    rhs = (values[:, None] + values[None, :] + step * pair_corr) % order
-    return bool(np.array_equal(lhs, rhs))
+def _betas(xi: np.ndarray, eta: np.ndarray, p: int) -> np.ndarray:
+    """beta(xi[k], eta[k]) for each pair of two families on one box, as ints mod p."""
+    products = xi[..., 0].reshape(len(xi), -1)
+    dtype = coefficient_dtype(p, products.shape[1])
+    products = products.astype(dtype, copy=False) * eta[..., 1].reshape(len(eta), -1)
+    return products.sum(axis=1) % p
 
 
-def validate_cocycle(phi: PhaseFunction, radius: int, samples: int = 10000, seed: int = 11) -> bool:
-    """Check the cocycle identity on vectors supported within the given radius.
+def cocycle_failure(phi: PhaseFunction, radius: int, samples: int = 10000, seed: int = 11):
+    """The first failure of the cocycle identity within the radius, as a message, or None.
 
-    Exhaustive for p = 2, d = 1, radius <= 2 (the group is small enough);
-    otherwise a seeded sample of >= `samples` pairs.  Translation invariance
-    of evaluate() is checked alongside either way.
+    The vectors live on the cells [-radius, radius]^d.  First, 24 seeded
+    vectors must keep their phase when shifted by up to 3 cells per axis.
+    Then every pair of vectors is checked for p = 2, d = 1, radius <= 2 (the
+    group is small enough), and a seeded sample of `samples` pairs
+    otherwise, drawn as PhaseVector.random would draw them.  C is computed
+    with beta on the images of apply_window, independently of the table
+    behind evaluate_batch.  A message names the failing vectors as
+    (plus, minus) polynomials.
     """
     if samples < 1:
         raise ValueError(f"samples must be positive, got {samples}")
     s = phi.automaton
-    p = s.p
+    p, d = s.p, s.d
     order = phi.order
     step = order // p
+    width = 2 * radius + 1
+    box = (width,) * d
+
+    def render(coeffs):
+        xi = PhaseVector.from_coefficients(p, coeffs, -radius if d == 1 else (-radius,) * d)
+        return f"({xi.plus}, {xi.minus})"
+
+    def failure(xi, eta, got, expected):
+        return (
+            f"cocycle identity fails for xi = {render(xi)}, eta = {render(eta)}:"
+            f" phi(xi + eta) = {got}, but phi(xi) + phi(eta) + {step} C(xi, eta) = {expected}"
+            f" (mod {order})"
+        )
+
+    # Translation invariance: each vector is evaluated in place and at its
+    # drawn shift inside a box 3 cells wider on every side.
     rng = random.Random(seed)
-    cells = list(product(range(-radius, radius + 1), repeat=s.d))
-    # Translation invariance on a handful of sampled vectors.
+    vectors = []
+    shifts = []
     for _ in range(24):
-        xi = PhaseVector.random(rng, p, cells, s.d)
-        x = tuple(rng.randint(-3, 3) for _ in range(s.d))
-        if phi.evaluate(xi.translate(x if s.d > 1 else x[0])) != phi.evaluate(xi):
-            return False
-    if p == 2 and s.d == 1 and radius <= 2:
-        return _validate_exhaustive_p2(phi, radius)
-    for _ in range(samples):
-        xi = PhaseVector.random(rng, p, cells, s.d)
-        eta = PhaseVector.random(rng, p, cells, s.d)
-        expected = (phi.evaluate(xi) + phi.evaluate(eta) + step * phi.correction(xi, eta)) % order
-        if phi.evaluate(xi + eta) != expected:
-            return False
-    return True
+        vectors.append(random_coefficients(rng, p, 1, width**d).reshape(box + (2,)))
+        shifts.append(tuple(rng.randint(-3, 3) for _ in range(d)))
+    vectors = np.stack(vectors)
+    moved = np.zeros((len(vectors),) + tuple(n + 6 for n in box) + (2,), dtype=vectors.dtype)
+    for k, x in enumerate(shifts):
+        moved[(k,) + tuple(slice(3 + e, 3 + e + width) for e in x)] = vectors[k]
+    still = phi.evaluate_batch(vectors)
+    shifted = phi.evaluate_batch(moved)
+    for k in np.flatnonzero(still != shifted)[:1]:
+        x = shifts[k] if d > 1 else shifts[k][0]
+        return (
+            f"phi is not translation invariant: phi(xi) = {still[k]}"
+            f" but phi(u^{x} xi) = {shifted[k]} for xi = {render(vectors[k])}"
+        )
+
+    if p == 2 and d == 1 and radius <= 2:
+        # Every vector of the window.  The bits of an index are its
+        # coefficients, so the sum of two members is the member at the XOR
+        # of their indices.
+        count = 4**width
+        index = np.arange(count)
+        family = (index[:, None] >> np.arange(2 * width) & 1).reshape(count, width, 2)
+        images = s.apply_window(family)
+        corrections = family[..., 0] @ family[..., 1].T - images[..., 0] @ images[..., 1].T
+        values = phi.evaluate_batch(family)
+        got = values[index[:, None] ^ index]
+        expected = (values[:, None] + values + step * (corrections % p)) % order
+        for i, j in np.argwhere(got != expected)[:1]:
+            return failure(family[i], family[j], got[i, j], expected[i, j])
+        return None
+    draws = random_coefficients(rng, p, 2 * samples, width**d).reshape((samples, 2) + box + (2,))
+    xi, eta = draws[:, 0], draws[:, 1]
+    corrections = _betas(xi, eta, p) - _betas(s.apply_window(xi), s.apply_window(eta), p)
+    got = phi.evaluate_batch((xi + eta) % p)
+    expected = (phi.evaluate_batch(xi) + phi.evaluate_batch(eta) + step * (corrections % p)) % order
+    for k in np.flatnonzero(got != expected)[:1]:
+        return failure(xi[k], eta[k], got[k], expected[k])
+    return None
+
+
+def validate_cocycle(phi: PhaseFunction, radius: int, samples: int = 10000, seed: int = 11) -> bool:
+    """Whether cocycle_failure finds no failure."""
+    return cocycle_failure(phi, radius, samples, seed) is None

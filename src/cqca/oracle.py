@@ -24,11 +24,12 @@ coefficients, shape (vectors, cells, 2) with the plus coefficient before
 the minus one, and one digit rule (_weyl_batch, which weyl_matrix calls
 with a single vector) builds the operators of all its members as row and
 phase arrays of shape (vectors, dim).  Pairs are composed in blocks of
-bounded size.  Only building, composing and comparing operators is
-batched.  The functions under test still take PhaseVectors: ScaMatrix.apply
-and PhaseFunction.evaluate run once per distinct vector, beta and sigma once
-per pair.  check_unitary, check_weyl_relation, commutation_exponent,
-check_commutation and check_order_condition stay as the per-pair reference.
+bounded size.  check_clifford_action takes the images and phases of its
+distinct vectors from the batched ScaMatrix.apply_window and
+PhaseFunction.evaluate_batch; the forms under test, beta and sigma, still
+take PhaseVectors and run once per pair.  check_unitary,
+check_weyl_relation, commutation_exponent, check_commutation and
+check_order_condition stay as the per-pair reference.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ import numpy as np
 from . import sca
 from .cocycle import PhaseFunction, default_phase, phase_group_order
 from .laurent import LaurentPoly
-from .phasespace import PhaseVector, beta, sigma
+from .phasespace import PhaseVector, beta, random_coefficients, sigma
 
 __all__ = [
     "MAX_WINDOW_DIM",
@@ -188,18 +189,6 @@ def _coefficients(xi: PhaseVector, window: Window) -> np.ndarray:
     return out
 
 
-def _phase_vector(coeffs: np.ndarray, lo: int, p: int) -> PhaseVector:
-    """The vector whose (cells, 2) coefficient array, starting at cell lo, is coeffs."""
-    plus = {}
-    minus = {}
-    for x, (a, b) in enumerate(coeffs.tolist(), lo):
-        if a:
-            plus[x] = a
-        if b:
-            minus[x] = b
-    return PhaseVector(LaurentPoly(p, 1, plus), LaurentPoly(p, 1, minus))
-
-
 def _blocks(count: int, dim: int):
     """Slices of range(count) whose (slice, dim) arrays hold at most _BLOCK_ELEMENTS."""
     size = max(1, _BLOCK_ELEMENTS // dim)
@@ -296,8 +285,9 @@ def check_clifford_action(
     Pairs are drawn from the inner sub-window (shrunk by the automaton
     radius) so every image stays inside the window: exhaustively when the
     pair count is small, by seeded sampling otherwise, in the draw order of
-    PhaseVector.random.  s.apply and phi.evaluate run once per distinct
-    vector, beta once per pair.
+    PhaseVector.random.  The images and phases of the distinct vectors come
+    from s.apply_window and phi.evaluate_batch; beta, the form under test,
+    runs once per pair.
     """
     if s.d != 1:
         raise ValueError("the operator oracle is one-dimensional")
@@ -318,15 +308,16 @@ def check_clifford_action(
         first, second = np.divmod(np.arange(n_vectors * n_vectors), n_vectors)
         xi, eta = vectors[first], vectors[second]
     else:
-        rng = random.Random(seed)
-        draws = [rng.randrange(p) for _ in range(4 * samples * n_inner)]
-        xi, eta = np.array(draws, dtype=np.int64).reshape(samples, 2, n_inner, 2).swapaxes(0, 1)
+        draws = random_coefficients(random.Random(seed), p, 2 * samples, n_inner)
+        xi, eta = draws.reshape(samples, 2, n_inner, 2).swapaxes(0, 1)
     stacked = np.concatenate([xi, eta, (xi + eta) % p]).reshape(3 * len(xi), -1)
     distinct, inverse = np.unique(stacked, axis=0, return_inverse=True)
     first, second, total = inverse.reshape(3, -1)
-    domain = [_phase_vector(c.reshape(n_inner, 2), inner_lo, p) for c in distinct]
-    images = np.array([_coefficients(s.apply(v), window) for v in domain])
-    phases = np.array([phi.evaluate(v) for v in domain], dtype=np.int64)
+    distinct = distinct.reshape(-1, n_inner, 2)
+    domain = [PhaseVector.from_coefficients(p, c, inner_lo) for c in distinct]
+    # The inner window widened by the radius on both sides is the window.
+    images = s.apply_window(distinct)
+    phases = phi.evaluate_batch(distinct)
     betas = [beta(domain[i], domain[j]) for i, j in zip(first.tolist(), second.tolist())]
     # phi(xi) phi(eta) w(s xi) w(s eta) must equal eps_p^{beta(xi, eta)} phi(xi + eta) w(s(xi + eta)).
     shift = phases[total] - phases[first] - phases[second] - phi.order // p * np.array(betas, dtype=np.int64)
@@ -405,7 +396,7 @@ def run_selftest(p: int, sites: int, seed: int = 7) -> list:
     if sites < 2 * radius + 1:
         raise ValueError(f"window [{window.lo}, {window.hi}] too small for radius {radius}")
     family = _selftest_family(p, sites)
-    vectors = [_phase_vector(c, window.lo, p) for c in family]
+    vectors = [PhaseVector.from_coefficients(p, c, window.lo) for c in family]
     n = len(family)
     if n * n <= SELFTEST_PAIR_BUDGET:
         first, second = np.divmod(np.arange(n * n), n)

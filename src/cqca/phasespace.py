@@ -14,13 +14,52 @@ shift (X-type) content.  Three forms live here:
 Cellular automata preserve sigma translation-covariantly iff they preserve
 form_sigma_poly, which is why symplecticity checks reduce to three
 polynomial identities on the matrix columns.
+
+Batched code holds a family of vectors as one coefficient array of shape
+(vectors,) + box + (2,): box is the shape of a box of cells (one axis per
+variable, cells in lexicographic order), and the last axis holds the plus
+coefficient before the minus one.  The array is int64, or object (Python
+ints) where coefficient_dtype says that int64 sums could overflow.
+random_coefficients draws such a family in the order PhaseVector.random
+draws one vector.
 """
 
 from __future__ import annotations
 
+from itertools import product
+
+import numpy as np
+
 from .laurent import LaurentPoly
 
-__all__ = ["PhaseVector", "beta", "sigma", "form_sigma_poly"]
+__all__ = [
+    "PhaseVector",
+    "beta",
+    "sigma",
+    "form_sigma_poly",
+    "coefficient_dtype",
+    "random_coefficients",
+]
+
+
+def coefficient_dtype(p: int, products: int = 0):
+    """np.int64 while the sums a family computes fit it, object (Python ints) otherwise.
+
+    The sums are those of two residues mod p, and sums of up to `products`
+    products of two numbers below p; both must stay below 2^63.
+    """
+    return np.int64 if 2 * p + products * p * p < 1 << 63 else object
+
+
+def random_coefficients(rng, p: int, count: int, sites: int) -> np.ndarray:
+    """count uniform vectors on `sites` cells as a (count, sites, 2) coefficient array.
+
+    The draws are rng.randrange(p) vector by vector, cell by cell, the plus
+    coefficient before the minus one: the draws of count successive
+    PhaseVector.random calls on those cells.
+    """
+    draws = [rng.randrange(p) for _ in range(count * sites * 2)]
+    return np.array(draws, dtype=coefficient_dtype(p)).reshape(count, sites, 2)
 
 
 class PhaseVector:
@@ -63,11 +102,29 @@ class PhaseVector:
     @classmethod
     def random(cls, rng, p, cells, d=1):
         """Uniform vector on the given cells: per cell, the plus draw, then the minus one."""
+        cells = list(cells)
+        return cls._from_pairs(p, d, cells, random_coefficients(rng, p, 1, len(cells))[0].tolist())
+
+    @classmethod
+    def from_coefficients(cls, p, coeffs, lo):
+        """The vector with the coefficient box coeffs, of shape box + (2,), from cell lo on.
+
+        lo is the first cell of the box: an int for one variable, a tuple otherwise.
+        """
+        coeffs = np.asarray(coeffs)
+        box = coeffs.shape[:-1]
+        if len(box) == 1:
+            cells = range(lo, lo + box[0])
+        else:
+            cells = product(*(range(first, first + n) for first, n in zip(lo, box)))
+        return cls._from_pairs(p, len(box), cells, coeffs.reshape(-1, 2).tolist())
+
+    @classmethod
+    def _from_pairs(cls, p, d, cells, pairs):
+        """The vector with the coefficient pair (plus, minus) of each cell."""
         plus = {}
         minus = {}
-        for x in cells:
-            a = rng.randrange(p)
-            b = rng.randrange(p)
+        for x, (a, b) in zip(cells, pairs):
             if a:
                 plus[x] = a
             if b:

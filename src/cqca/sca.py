@@ -25,7 +25,7 @@ import numpy as np
 
 from .ffield import check_prime, inv_mod
 from .laurent import _DENSE_MAX_EXP, _DENSE_MAX_P, LaurentPoly, _coeff_window, _is_hollow
-from .phasespace import PhaseVector, form_sigma_poly
+from .phasespace import PhaseVector, coefficient_dtype, form_sigma_poly
 
 __all__ = [
     "NotSymplectic",
@@ -101,6 +101,35 @@ class ScaMatrix:
             self.pp * xi.plus + self.pm * xi.minus,
             self.mp * xi.plus + self.mm * xi.minus,
         )
+
+    def apply_window(self, coeffs) -> np.ndarray:
+        """apply() on a family of vectors given as a coefficient array.
+
+        coeffs has shape (vectors,) + box + (2,), with one box axis per
+        variable (see phasespace).  The images come back on the box widened
+        by radius() cells at both ends of every axis, so their first cell is
+        the first input cell minus radius() on each axis.  Every entry term
+        is one shifted multiply-add of a whole component slice.
+        """
+        coeffs = np.asarray(coeffs)
+        box = coeffs.shape[1:-1]
+        if len(box) != self.d or coeffs.shape[-1] != 2:
+            raise ValueError(f"expected a (vectors, box of {self.d} axes, 2) coefficient array")
+        p, r = self.p, self.radius()
+        entries = ((0, 0, self.pp), (0, 1, self.pm), (1, 0, self.mp), (1, 1, self.mm))
+        # int64 bound: an image coefficient sums at most one product of two
+        # residues per entry term, so the sums stay below terms * p^2.
+        terms = sum(len(entry.terms) for _, _, entry in entries)
+        dtype = coefficient_dtype(p, terms)
+        source = coeffs.astype(dtype, copy=False)
+        out = np.zeros((len(coeffs),) + tuple(n + 2 * r for n in box) + (2,), dtype=dtype)
+        for row, col, entry in entries:
+            part = source[..., col]
+            for x, c in entry.terms.items():
+                target = tuple(slice(r + e, r + e + n) for e, n in zip(x, box))
+                out[(slice(None),) + target + (row,)] += c * part
+        out %= p
+        return out
 
     def orbit(self, xi: PhaseVector, steps: int):
         """Iterator over the time slices of xi, s xi, ..., s^steps xi.

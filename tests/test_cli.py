@@ -10,7 +10,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cqca import LaurentPoly, ScaMatrix, identity, local_f, shear_g, shift
+from cqca import (
+    LaurentPoly,
+    PhaseFunction,
+    ScaMatrix,
+    default_phase,
+    identity,
+    local_f,
+    multiply_word,
+    random_word,
+    shear_g,
+    shift,
+)
 from cqca.cli import PolyParseError, main, parse_poly
 
 
@@ -70,6 +81,11 @@ def test_parse_poly_rejects_bad_syntax():
     with pytest.raises(PolyParseError, match="expected an exponent") as info:
         parse_poly("u^\u00b2", 5)  # superscript two
     assert info.value.offset == 2
+    # A missing exponent at the end of the text is reported at the end.
+    for text, offset in (("u^", 2), ("u^ ", 3), ("2u^", 3), ("u^-", 3)):
+        with pytest.raises(PolyParseError, match="expected an exponent") as info:
+            parse_poly(text, 5)
+        assert info.value.offset == offset, text
     with pytest.raises(PolyParseError, match="expected a term") as info:
         parse_poly("\u00b2", 5)
     assert info.value.offset == 0
@@ -126,7 +142,7 @@ class _Scanner:
     def read_int(self, what: str) -> int:
         start = self.pos
         sign = 1
-        if self.peek() in "+-":  # also true at the end, where peek() is ""
+        if self.peek() and self.peek() in "+-":
             sign = -1 if self.take() == "-" else 1
         digits = self.read_digits()
         if not digits:
@@ -567,6 +583,31 @@ def test_phase_odd_characteristic(tmp_path, capsys):
     code, out, _ = run(capsys, ["phase", path])
     assert code == 0
     assert json.loads(out)["order"] == 3
+
+
+def test_phase_on_a_radius_19_word(tmp_path, capsys):
+    # 41 cells and 10^4 sampled pairs: the batched cocycle check at scale
+    s = multiply_word(random_word(3, 7, 3, seed=3010))
+    assert s.radius() == 19
+    code, out, err = run(capsys, ["phase", write_matrix(tmp_path, s)])
+    assert (code, out, err) == (0, '{"order": 3, "gen_plus": 0, "gen_minus": 0}\n', "")
+
+
+def test_phase_failure_names_the_witness(tmp_path, capsys, monkeypatch):
+    from cqca import cli
+
+    def corrupted(s):
+        good = default_phase(s)
+        return PhaseFunction(s, good.gen_plus + 1, good.gen_minus)
+
+    monkeypatch.setattr(cli, "default_phase", corrupted)
+    code, out, err = run(capsys, ["phase", write_matrix(tmp_path, shear_g(2, 1, 1))])
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: constructed phase failed cocycle validation: cocycle identity fails for"
+        " xi = (u^-2, 0), eta = (u^-2, 0): phi(xi + eta) = 0,"
+        " but phi(xi) + phi(eta) + 2 C(xi, eta) = 2 (mod 4)\n"
+    )
 
 
 def test_selftest_small_window(capsys):

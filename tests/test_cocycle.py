@@ -1,7 +1,9 @@
 """Tests for phase functions and the cocycle identity."""
 
 import random
+from math import prod
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +19,7 @@ from cqca import (
     Shear,
     UpperShear,
     beta,
+    cocycle_failure,
     default_phase,
     from_recipe,
     identity,
@@ -30,6 +33,7 @@ from cqca import (
     upper_shear_g,
     validate_cocycle,
 )
+from cqca.phasespace import coefficient_dtype
 
 
 def rand_vector(rng, p, radius=2, d=1):
@@ -305,8 +309,8 @@ PRIMES = (2, 3, 5, 1048573, 10**18 + 3)
 
 
 @st.composite
-def phase_inputs(draw):
-    """A phase function of a shifted automaton with arbitrary generator ints, and a vector.
+def phase_functions(draw):
+    """A phase function of a shifted automaton with arbitrary generator ints.
 
     d = 1 automata are generator words; d = 2 automata are products of
     recipe matrices built from random palindromes.
@@ -322,7 +326,6 @@ def phase_inputs(draw):
             st.builds(Local, unit),
         )
         s = multiply_word(GeneratorWord(p, tuple(draw(st.lists(letter, max_size=4)))))
-        cell = st.integers(-4, 4)
         offset = draw(st.integers(-3, 3))
     else:
         small = st.tuples(st.integers(-1, 1), st.integers(-1, 1))
@@ -332,12 +335,45 @@ def phase_inputs(draw):
         s = identity(p, 2)
         for _ in range(draw(st.integers(0, 2))):
             s = s @ from_recipe(draw(palindrome), draw(palindrome))
-        cell = st.tuples(st.integers(-2, 2), st.integers(-2, 2))
         offset = draw(small)
-    phi = PhaseFunction(s.shifted(offset), draw(st.integers()), draw(st.integers()))
+    return PhaseFunction(s.shifted(offset), draw(st.integers()), draw(st.integers()))
+
+
+@st.composite
+def phase_inputs(draw):
+    """A phase function from phase_functions and a vector on cells near the origin."""
+    phi = draw(phase_functions())
+    p, d = phi.automaton.p, phi.automaton.d
+    coeff = st.integers(0, p - 1)
+    cell = st.integers(-4, 4) if d == 1 else st.tuples(st.integers(-2, 2), st.integers(-2, 2))
     plus = draw(st.dictionaries(cell, coeff, max_size=6))
     minus = draw(st.dictionaries(cell, coeff, max_size=6))
     return phi, PhaseVector(LaurentPoly(p, d, plus), LaurentPoly(p, d, minus))
+
+
+@st.composite
+def family_inputs(draw):
+    """A phase function, a family of up to 4 coefficient boxes, its first cell, and padding.
+
+    The padding is (before, after) per axis: how many zero cells a wider
+    box has on either side of the family's box.
+    """
+    phi = draw(phase_functions())
+    p, d = phi.automaton.p, phi.automaton.d
+    box = tuple(draw(st.integers(1, 5 if d == 1 else 3)) for _ in range(d))
+    count = draw(st.integers(1, 4))
+    size = count * prod(box) * 2
+    coeff = st.one_of(st.just(0), st.integers(0, p - 1))
+    values = draw(st.lists(coeff, min_size=size, max_size=size))
+    coeffs = np.array(values, dtype=coefficient_dtype(p)).reshape((count,) + box + (2,))
+    first = st.integers(-3, 3)
+    lo = draw(first) if d == 1 else draw(st.tuples(first, first))
+    padding = [draw(st.tuples(st.integers(0, 3), st.integers(0, 3))) for _ in range(d)]
+    return phi, coeffs, lo, padding
+
+
+def family_vectors(p, coeffs, lo):
+    return [PhaseVector.from_coefficients(p, c, lo) for c in coeffs]
 
 
 @settings(max_examples=300)
@@ -345,6 +381,91 @@ def phase_inputs(draw):
 def test_evaluate_matches_fold_reference(case):
     phi, xi = case
     assert phi.evaluate(xi) == fold_reference(phi, xi)
+
+
+@settings(max_examples=200)
+@given(family_inputs())
+def test_evaluate_batch_matches_fold_and_evaluate(case):
+    phi, coeffs, lo, padding = case
+    values = phi.evaluate_batch(coeffs)
+    vectors = family_vectors(phi.automaton.p, coeffs, lo)
+    assert values.tolist() == [fold_reference(phi, xi) for xi in vectors]
+    assert values.tolist() == [phi.evaluate(xi) for xi in vectors]
+    # the same vectors laid out at other offsets of a zero-padded wider box
+    padded = np.pad(coeffs, [(0, 0)] + padding + [(0, 0)])
+    assert phi.evaluate_batch(padded).tolist() == values.tolist()
+
+
+@settings(max_examples=200)
+@given(family_inputs())
+def test_apply_window_matches_apply(case):
+    phi, coeffs, lo, _ = case
+    s = phi.automaton
+    p, r = s.p, s.radius()
+    images = s.apply_window(coeffs)
+    assert images.shape == (len(coeffs),) + tuple(n + 2 * r for n in coeffs.shape[1:-1]) + (2,)
+    first = lo - r if s.d == 1 else tuple(x - r for x in lo)
+    assert family_vectors(p, images, first) == [s.apply(xi) for xi in family_vectors(p, coeffs, lo)]
+
+
+def test_evaluate_shrinks_wide_gaps():
+    # a sparse vector spanning 2^40 cells costs a box of a few cells
+    s = shear_g(3, 2)
+    phi = default_phase(s)
+    far = 1 << 40
+    xi = PhaseVector(LaurentPoly(3, 1, {0: 1, 3: 2, far: 2}), LaurentPoly(3, 1, {1: 1, far + 2: 1}))
+    near = PhaseVector(LaurentPoly(3, 1, {0: 1, 3: 2, 9: 2}), LaurentPoly(3, 1, {1: 1, 11: 1}))
+    assert phi.evaluate(xi) == fold_reference(phi, xi) == phi.evaluate(near)
+
+
+def test_cocycle_failure_names_the_failing_pair():
+    s = shear_g(2, 1)
+    good = default_phase(s)
+    assert cocycle_failure(good, radius=2) is None
+    bad = PhaseFunction(s, good.gen_plus + 1, good.gen_minus)
+    assert cocycle_failure(bad, radius=2) == (
+        "cocycle identity fails for xi = (u^-2, 0), eta = (u^-2, 0): phi(xi + eta) = 0,"
+        " but phi(xi) + phi(eta) + 2 C(xi, eta) = 2 (mod 4)"
+    )
+    # the sampled path names its pair the same way
+    message = cocycle_failure(bad, radius=3, samples=50)
+    assert message.startswith("cocycle identity fails for xi = (")
+    assert message.endswith(" (mod 4)")
+
+
+def test_cocycle_failure_names_a_translation_witness(monkeypatch):
+    real = PhaseFunction.evaluate_batch
+
+    def position_dependent(self, coeffs):
+        first = np.argmax(coeffs.reshape(len(coeffs), -1) != 0, axis=1)
+        return (real(self, coeffs) + first) % self.order
+
+    monkeypatch.setattr(PhaseFunction, "evaluate_batch", position_dependent)
+    assert cocycle_failure(default_phase(shear_g(3, 1)), radius=1) == (
+        "phi is not translation invariant: phi(xi) = 0 but phi(u^-2 xi) = 2"
+        " for xi = (u^-1 + 1 + 2u, 2u^-1 + 1 + 2u)"
+    )
+
+
+def test_sampled_path_catches_corrupted_generators():
+    """Off the exhaustive windows a wrong generator value is caught by sampling.
+
+    At odd p every pair of generator exponents is admissible (two differ by
+    a character), so there the corrupted value is a generator's diagonal
+    cocycle value C(e, e), which the quadratic form reads.
+    """
+    f = palindromize(LaurentPoly(3, 2, {(1, 0): 1, (0, 1): 2}))
+    for s in (shear_g(3, 1), from_recipe(f, LaurentPoly.one(3, 2))):
+        phi = default_phase(s)
+        assert validate_cocycle(phi, radius=2, samples=200)
+        phi._diagonals = ((phi._diagonals[0] + 1) % 3, phi._diagonals[1])
+        assert not validate_cocycle(phi, radius=2, samples=200)
+    f = palindromize(LaurentPoly(2, 2, {(1, 0): 1, (0, 1): 1}))
+    s = from_recipe(f, LaurentPoly.one(2, 2))
+    good = default_phase(s)
+    assert validate_cocycle(good, radius=1, samples=200)
+    for gens in ((good.gen_plus + 1, good.gen_minus), (good.gen_plus, good.gen_minus + 1)):
+        assert not validate_cocycle(PhaseFunction(s, *gens), radius=1, samples=200)
 
 
 def test_default_phase_takes_the_least_admissible_exponents():

@@ -316,7 +316,7 @@ def test_selftest_samples_pairs_past_the_budget(monkeypatch):
     assert len(checked) == 100
     assert len(set(checked)) > 50
     # the pairs rng.choice draws from the family, xi then eta
-    family = [oracle._phase_vector(c, 0, 2) for c in oracle._selftest_family(2, 3)]
+    family = [PhaseVector.from_coefficients(2, c, 0) for c in oracle._selftest_family(2, 3)]
     rng = random.Random(7)
     expected = [(rng.choice(family), rng.choice(family)) for _ in range(100)]
     assert [(family[i], family[j]) for i, j in checked] == expected
@@ -340,7 +340,7 @@ def test_clifford_action_rejects_empty_samples():
 def test_selftest_family_order():
     # single cells first, then cell pairs; per support the product order
     family = oracle._selftest_family(3, 3)
-    vectors = [oracle._phase_vector(c, 0, 3) for c in family]
+    vectors = [PhaseVector.from_coefficients(3, c, 0) for c in family]
     expected = []
     for cells in ([0], [1], [2], [0, 1], [0, 2], [1, 2]):
         for values in product(product(range(3), repeat=2), repeat=len(cells)):
@@ -377,7 +377,7 @@ def test_batched_checks_match_the_per_pair_reference(monkeypatch):
         for sites in (1, 2, 3):
             window = Window(p, 0, sites - 1)
             family = random_family(rng, p, sites, 10)
-            vectors = [oracle._phase_vector(c, 0, p) for c in family]
+            vectors = [PhaseVector.from_coefficients(p, c, 0) for c in family]
             first, second = np.divmod(np.arange(len(family) ** 2), len(family))
             w = oracle._weyl_batch(family, p)
             exponents = oracle._commutation_exponents(w[first], w[second], p)

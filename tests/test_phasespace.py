@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from cqca import LaurentPoly, PhaseVector, beta, form_sigma_poly, sigma
+from cqca.phasespace import random_coefficients
 
 
 def rand_poly(rng, p, d=1, max_terms=4, span=3):
@@ -245,3 +246,33 @@ def test_forms_reject_mismatched_rings():
         beta(PhaseVector.zero(2), PhaseVector.zero(3))
     with pytest.raises(ValueError):
         form_sigma_poly(PhaseVector.zero(2, 1), PhaseVector.zero(2, 2))
+
+
+# -- coefficient families ------------------------------------------------------
+
+
+def test_random_coefficients_draw_like_phasevector_random():
+    # 2^64 - 59 is prime and past int64, so its family holds Python ints
+    for p in (2, 3, 5, 1048573, 10**18 + 3, 2**64 - 59):
+        for d, cells in ((1, range(-2, 3)), (2, [(x, y) for x in range(2) for y in range(-1, 2)])):
+            family = random_coefficients(random.Random(p), p, 4, len(cells))
+            assert family.shape == (4, len(cells), 2)
+            assert family.dtype == (np.int64 if p < 2**62 else object)
+            rng = random.Random(p)
+            expected = [PhaseVector.random(rng, p, cells, d) for _ in range(4)]
+            lo = cells[0]
+            box = (len(cells),) if d == 1 else (2, 3)
+            boxes = family.reshape((4,) + box + (2,))
+            assert [PhaseVector.from_coefficients(p, c, lo) for c in boxes] == expected
+            # the draws are rng.randrange(p), plus before minus, cell by cell
+            rng = random.Random(p)
+            assert family.ravel().tolist() == [rng.randrange(p) for _ in range(family.size)]
+
+
+def test_from_coefficients_places_the_box():
+    coeffs = np.array([[[1, 0], [0, 2]], [[0, 0], [3, 4]]])
+    xi = PhaseVector.from_coefficients(5, coeffs, (1, -1))
+    assert xi.plus == LaurentPoly(5, 2, {(1, -1): 1, (2, 0): 3})
+    assert xi.minus == LaurentPoly(5, 2, {(1, 0): 2, (2, 0): 4})
+    line = PhaseVector.from_coefficients(5, coeffs[1], -3)
+    assert line == PhaseVector(LaurentPoly(5, 1, {-2: 3}), LaurentPoly(5, 1, {-2: 4}))
