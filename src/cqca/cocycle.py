@@ -61,6 +61,7 @@ from .ffield import check_prime
 from .phasespace import PhaseVector, beta, coefficient_dtype, random_coefficients
 
 __all__ = [
+    "COCYCLE_CELL_BUDGET",
     "phase_group_order",
     "PhaseFunction",
     "default_phase",
@@ -69,6 +70,10 @@ __all__ = [
 ]
 
 _PLUS, _MINUS = 0, 1
+
+# cocycle_failure draws (24 + 2 * samples) * (2 * radius + 1)^d vector-cells;
+# this many take a few seconds and a few hundred MB.
+COCYCLE_CELL_BUDGET = 2**21
 
 
 def phase_group_order(p: int) -> int:
@@ -232,7 +237,7 @@ def cocycle_failure(phi: PhaseFunction, radius: int, samples: int = 10000, seed:
     otherwise, drawn as PhaseVector.random would draw them.  C is computed
     with beta on the images of apply_window, independently of the table
     behind evaluate_batch.  A message names the failing vectors as
-    (plus, minus) polynomials.
+    (plus, minus) polynomials.  ValueError past COCYCLE_CELL_BUDGET drawn vector-cells.
     """
     if samples < 1:
         raise ValueError(f"samples must be positive, got {samples}")
@@ -242,6 +247,11 @@ def cocycle_failure(phi: PhaseFunction, radius: int, samples: int = 10000, seed:
     step = order // p
     width = 2 * radius + 1
     box = (width,) * d
+    cells = (24 + 2 * samples) * width**d
+    if cells > COCYCLE_CELL_BUDGET:
+        raise ValueError(
+            f"cocycle validation would draw {cells} vector-cells, over the budget of {COCYCLE_CELL_BUDGET}"
+        )
 
     def render(coeffs):
         xi = PhaseVector.from_coefficients(p, coeffs, -radius if d == 1 else (-radius,) * d)

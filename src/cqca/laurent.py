@@ -14,12 +14,14 @@ b_0 = 1, b_n = u^n + u^-n and is the engine of the Euclidean factorization.
 Products dispatch between a monomial shift, a dense coefficient-window
 convolution and a sparse dict walk; all give identical canonical results.
 The dense path is one np.convolve for every d (Kronecker substitution) and
-is just faster for the contiguous supports that dominate here.
+is just faster for the contiguous supports that dominate here, at every p.
+Every layer lays windows out with _coeff_window, in coefficient_dtype.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import chain
 
 import numpy as np
 
@@ -27,6 +29,7 @@ from .ffield import check_prime, inv_mod
 
 __all__ = [
     "LaurentPoly",
+    "coefficient_dtype",
     "palindromize",
     "basis_element",
     "palindrome_coeffs",
@@ -36,14 +39,21 @@ __all__ = [
 # Degree of the zero polynomial: a real minus infinity, ordered below every int.
 NEG_INF = float("-inf")
 
-# Dense-path guards.  A dense product costs len(a)*len(b) int64 multiply-adds
-# over the laid-out windows; beyond the budget (or for hollow supports, see
-# _is_hollow) the sparse walk wins.  The modulus cap keeps int64 accumulation
-# exact: each output cell sums at most min(len) <= 2^11 products below 2^40.
-# The exponent cap keeps every product exponent inside int64.
+# Dense-path guards.  A dense product costs len(a)*len(b) multiply-adds over
+# the laid-out windows; beyond the budget (or for hollow supports, see
+# _is_hollow) the sparse walk wins.  The exponent cap keeps every product
+# exponent inside int64.
 _DENSE_BUDGET = 1 << 22
-_DENSE_MAX_P = 1 << 20
 _DENSE_MAX_EXP = 1 << 62
+
+
+def coefficient_dtype(p: int, products: int = 0):
+    """np.int64 while the sums over a window fit it, object (Python ints) otherwise.
+
+    The sums are those of two residues mod p, and sums of up to `products`
+    products of two numbers below p; both must stay below 2^63.
+    """
+    return np.int64 if 2 * p + products * p * p < 1 << 63 else object
 
 
 def _is_hollow(spans, n_terms) -> bool:
@@ -55,12 +65,13 @@ def _is_hollow(spans, n_terms) -> bool:
     return math.prod(s + 1 for s in spans) > 16 * n_terms + 64
 
 
-def _coeff_window(poly, lo, length):
-    """int64 coefficients of a one-variable polynomial at exponents lo .. lo + length - 1."""
-    window = np.zeros(length, dtype=np.int64)
-    n = len(poly.terms)
-    exps = np.fromiter((e for (e,) in poly.terms), np.int64, n)
-    window[exps - lo] = np.fromiter(poly.terms.values(), np.int64, n)
+def _coeff_window(poly, lo, strides, length, dtype=np.int64):
+    """The coefficients of poly on a flat window, exponent e at offset (e - lo) @ strides."""
+    window = np.zeros(length, dtype=dtype)
+    n, d = len(poly.terms), poly.d
+    exps = np.fromiter(chain.from_iterable(poly.terms), np.int64, n * d)
+    offsets = exps - lo[0] if d == 1 else (exps.reshape(n, d) - lo) @ strides
+    window[offsets] = np.fromiter(poly.terms.values(), dtype, n)
     return window
 
 
@@ -268,17 +279,12 @@ class LaurentPoly:
             or _is_hollow(span_b, len(other.terms))
         ):
             return None
-
-        def layout(poly, cols, lo, length):
-            if d == 1:
-                return _coeff_window(poly, lo[0], length)
-            exps = np.array(cols, dtype=np.int64)
-            offsets = np.array(strides) @ (exps - np.array(lo)[:, None])
-            window = np.zeros(length, dtype=np.int64)
-            window[offsets] = np.fromiter(poly.terms.values(), np.int64, len(poly.terms))
-            return window
-
-        conv = np.convolve(layout(self, cols_a, lo_a, len_a), layout(other, cols_b, lo_b, len_b))
+        # Each product cell sums at most min(len_a, len_b) coefficient products.
+        dtype = coefficient_dtype(self.p, min(len_a, len_b))
+        conv = np.convolve(
+            _coeff_window(self, lo_a, strides, len_a, dtype),
+            _coeff_window(other, lo_b, strides, len_b, dtype),
+        )
         conv %= self.p
         nz = conv.nonzero()[0]
         base = [x + y for x, y in zip(lo_a, lo_b)]
@@ -302,10 +308,9 @@ class LaurentPoly:
         if len(self.terms) == 1:
             ((e, c),) = self.terms.items()
             return other._mul_monomial(e, c)
-        if self.p <= _DENSE_MAX_P:
-            product = self._mul_dense(other)
-            if product is not None:
-                return product
+        product = self._mul_dense(other)
+        if product is not None:
+            return product
         return self._mul_sparse(other)
 
     def __rmul__(self, other):

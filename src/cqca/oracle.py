@@ -42,12 +42,13 @@ import numpy as np
 
 from . import sca
 from .cocycle import PhaseFunction, default_phase, phase_group_order
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, _coeff_window
 from .phasespace import PhaseVector, beta, random_coefficients, sigma
 
 __all__ = [
     "MAX_WINDOW_DIM",
     "SELFTEST_PAIR_BUDGET",
+    "CLIFFORD_EXHAUSTIVE_PAIRS",
     "Window",
     "WeylOperator",
     "weyl_matrix",
@@ -65,6 +66,9 @@ MAX_WINDOW_DIM = 4096
 # run_selftest checks every ordered pair of its vector family while there are
 # at most this many, and a seeded sample of this many pairs beyond that.
 SELFTEST_PAIR_BUDGET = 2**16
+
+# check_clifford_action checks all pairs of inner-window vectors up to this many.
+CLIFFORD_EXHAUSTIVE_PAIRS = 4096
 
 # The batched checks take operators in blocks of at most this many int64
 # elements per (vectors, dim) array.  A block keeps about a dozen such arrays
@@ -177,18 +181,6 @@ def _weyl_batch(coeffs: np.ndarray, p: int) -> WeylOperator:
     return WeylOperator(row, phase, order)
 
 
-def _coefficients(xi: PhaseVector, window: Window) -> np.ndarray:
-    """The (sites, 2) coefficient array of xi on the window cells."""
-    cells = xi.support()
-    if cells and (cells[0] < window.lo or cells[-1] > window.hi):
-        raise ValueError(f"support {cells} sticks out of window [{window.lo}, {window.hi}]")
-    out = np.zeros((window.sites, 2), dtype=np.int64)
-    for column, poly in enumerate((xi.plus, xi.minus)):
-        for (x,), c in poly.terms.items():
-            out[x - window.lo, column] = c
-    return out
-
-
 def _blocks(count: int, dim: int):
     """Slices of range(count) whose (slice, dim) arrays hold at most _BLOCK_ELEMENTS."""
     size = max(1, _BLOCK_ELEMENTS // dim)
@@ -205,7 +197,11 @@ def weyl_matrix(xi: PhaseVector, window: Window) -> WeylOperator:
         raise ValueError("the operator oracle is one-dimensional")
     if xi.p != window.p:
         raise ValueError(f"modulus mismatch: {xi.p} vs {window.p}")
-    return _weyl_batch(_coefficients(xi, window)[None], window.p)[0]
+    cells = xi.support()
+    if cells and (cells[0] < window.lo or cells[-1] > window.hi):
+        raise ValueError(f"support {cells} sticks out of window [{window.lo}, {window.hi}]")
+    coeffs = [_coeff_window(poly, (window.lo,), (1,), window.sites) for poly in (xi.plus, xi.minus)]
+    return _weyl_batch(np.stack(coeffs, axis=1)[None], window.p)[0]
 
 
 def check_unitary(w: WeylOperator) -> bool:
@@ -276,18 +272,17 @@ def check_clifford_action(
     s: sca.ScaMatrix,
     phi: PhaseFunction,
     window: Window,
-    max_exhaustive: int = 4096,
     samples: int = 512,
     seed: int = 7,
 ) -> bool:
     """Verify that w(xi) -> phi(xi) w(s xi) is multiplicative on the window.
 
     Pairs are drawn from the inner sub-window (shrunk by the automaton
-    radius) so every image stays inside the window: exhaustively when the
-    pair count is small, by seeded sampling otherwise, in the draw order of
-    PhaseVector.random.  The images and phases of the distinct vectors come
-    from s.apply_window and phi.evaluate_batch; beta, the form under test,
-    runs once per pair.
+    radius) so every image stays inside the window: exhaustively up to
+    CLIFFORD_EXHAUSTIVE_PAIRS pairs, else by seeded sampling in the draw
+    order of PhaseVector.random.  The images and phases of the distinct
+    vectors come from s.apply_window and phi.evaluate_batch; beta, the form
+    under test, runs once per pair.
     """
     if s.d != 1:
         raise ValueError("the operator oracle is one-dimensional")
@@ -303,7 +298,7 @@ def check_clifford_action(
     p = window.p
     n_inner = inner_hi - inner_lo + 1
     n_vectors = (p * p) ** n_inner
-    if n_vectors * n_vectors <= max_exhaustive:
+    if n_vectors * n_vectors <= CLIFFORD_EXHAUSTIVE_PAIRS:
         vectors = _vectors_on_cells(p, n_inner)
         first, second = np.divmod(np.arange(n_vectors * n_vectors), n_vectors)
         xi, eta = vectors[first], vectors[second]

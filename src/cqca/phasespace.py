@@ -19,7 +19,7 @@ Batched code holds a family of vectors as one coefficient array of shape
 (vectors,) + box + (2,): box is the shape of a box of cells (one axis per
 variable, cells in lexicographic order), and the last axis holds the plus
 coefficient before the minus one.  The array is int64, or object (Python
-ints) where coefficient_dtype says that int64 sums could overflow.
+ints) where coefficient_dtype (from laurent) says int64 sums could overflow.
 random_coefficients draws such a family in the order PhaseVector.random
 draws one vector.
 """
@@ -30,7 +30,7 @@ from itertools import product
 
 import numpy as np
 
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, coefficient_dtype
 
 __all__ = [
     "PhaseVector",
@@ -40,15 +40,6 @@ __all__ = [
     "coefficient_dtype",
     "random_coefficients",
 ]
-
-
-def coefficient_dtype(p: int, products: int = 0):
-    """np.int64 while the sums a family computes fit it, object (Python ints) otherwise.
-
-    The sums are those of two residues mod p, and sums of up to `products`
-    products of two numbers below p; both must stay below 2^63.
-    """
-    return np.int64 if 2 * p + products * p * p < 1 << 63 else object
 
 
 def random_coefficients(rng, p: int, count: int, sites: int) -> np.ndarray:

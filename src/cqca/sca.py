@@ -13,7 +13,7 @@ cell transformations f_c, and the shear automata g_n that propagate
 plus-excitations to cells -n and n.
 
 ScaMatrix.orbit() yields the space-time trace of a vector, one time slice
-of int64 arrays at a time.
+of arrays at a time.
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ffield import check_prime, inv_mod
-from .laurent import _DENSE_MAX_EXP, _DENSE_MAX_P, LaurentPoly, _coeff_window, _is_hollow
-from .phasespace import PhaseVector, coefficient_dtype, form_sigma_poly
+from .laurent import _DENSE_MAX_EXP, LaurentPoly, _coeff_window, _is_hollow, coefficient_dtype
+from .phasespace import PhaseVector, form_sigma_poly
 
 __all__ = [
     "NotSymplectic",
@@ -134,10 +134,10 @@ class ScaMatrix:
     def orbit(self, xi: PhaseVector, steps: int):
         """Iterator over the time slices of xi, s xi, ..., s^steps xi.
 
-        A slice is (cells, plus, minus): int64 arrays sorted by cell that hold
-        the support and its coefficients (Python ints in object arrays for
-        coefficients when p > 2^63, and for cells when an exponent leaves
-        int64); cells has shape (n,) for d == 1 and (n, d) otherwise.
+        A slice is (cells, plus, minus): arrays sorted by cell that hold the
+        support and its coefficients, in coefficient_dtype(p) (object from
+        p = 2^62 on); cells are int64, or object when an exponent leaves
+        int64.  cells has shape (n,) for d == 1 and (n, d) otherwise.
         One-variable orbits step on coefficient windows when _orbit_windows
         allows it, every other orbit steps with apply().  A slice with a cell
         more than t * radius outside the start support raises
@@ -158,14 +158,13 @@ class ScaMatrix:
     def _orbit_windows(self, xi: PhaseVector, steps: int):
         """(lowest exponent, entry windows) for window stepping, or None for apply().
 
-        The window path needs d == 1, p within the dense cap, a nonzero start
-        and no hollow entry or start.  The start is judged on the support of
-        both components together, which is the window _window_orbit lays out.
+        The window path needs d == 1, a nonzero start, no hollow entry or
+        start, and int64 sums.  The start is judged on the support of both
+        components together, which is the window _window_orbit lays out.
         The four entries become int64 coefficient windows over their common
         exponent range.
         """
-        p = self.p
-        if self.d != 1 or p > _DENSE_MAX_P or xi.is_zero():
+        if self.d != 1 or xi.is_zero():
             return None
         start = xi.support()
         if _is_hollow((start[-1] - start[0],), len(start)):
@@ -179,20 +178,19 @@ class ScaMatrix:
             return None
         lo, hi = min(exps), max(exps)
         length = hi - lo + 1
-        # int64 bound: one step adds two convolutions, and each of their cells
-        # sums at most `length` products of coefficients below p, so every
-        # intermediate is below 2 * length * (p - 1)^2 < 2^63.
-        if 2 * length * (p - 1) ** 2 >= 1 << 63:
+        # One step adds two convolutions, and each of their cells sums at
+        # most `length` products of coefficients below p.
+        if coefficient_dtype(self.p, 2 * length) is not np.int64:
             return None
         reach = max(-start[0], start[-1])
         if reach + steps * max(-lo, hi) >= _DENSE_MAX_EXP:
             return None
-        return lo, tuple(_coeff_window(e, lo, length) for e in entries)
+        return lo, tuple(_coeff_window(e, (lo,), (1,), length) for e in entries)
 
     def _apply_orbit(self, xi: PhaseVector, steps: int):
         """Slices of an orbit stepped with apply() on the sparse dicts."""
         d = self.d
-        dtype = np.int64 if self.p <= 1 << 63 else object
+        dtype = coefficient_dtype(self.p)
         for t in range(steps + 1):
             plus, minus = xi.plus.terms, xi.minus.terms
             keys = sorted(plus.keys() | minus.keys())
@@ -326,8 +324,8 @@ def _window_orbit(xi: PhaseVector, steps: int, lo: int, entries):
     support = xi.support()
     offset = support[0]
     length = support[-1] - offset + 1
-    plus = _coeff_window(xi.plus, offset, length)
-    minus = _coeff_window(xi.minus, offset, length)
+    plus = _coeff_window(xi.plus, (offset,), (1,), length)
+    minus = _coeff_window(xi.minus, (offset,), (1,), length)
     for t in range(steps + 1):
         nz = np.flatnonzero(plus | minus)
         if nz.size:

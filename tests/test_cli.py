@@ -593,6 +593,23 @@ def test_phase_on_a_radius_19_word(tmp_path, capsys):
     assert (code, out, err) == (0, '{"order": 3, "gen_plus": 0, "gen_minus": 0}\n', "")
 
 
+def test_phase_past_the_cell_budget_exits_2_before_any_draw(tmp_path, capsys, monkeypatch):
+    from cqca import cocycle
+
+    def no_draw(*args):
+        raise AssertionError("no vector may be drawn past the budget")
+
+    monkeypatch.setattr(cocycle, "random_coefficients", no_draw)
+    n = 2**31 - 1
+    code, out, err = run(capsys, ["phase", write_matrix(tmp_path, shear_g(3, n, 1))])
+    cells = (24 + 2 * 10000) * (2 * (n + 1) + 1)
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: cocycle validation would draw {cells} vector-cells,"
+        f" over the budget of {cocycle.COCYCLE_CELL_BUDGET}\n"
+    )
+
+
 def test_phase_failure_names_the_witness(tmp_path, capsys, monkeypatch):
     from cqca import cli
 

@@ -433,6 +433,22 @@ def test_cocycle_failure_names_the_failing_pair():
     assert message.endswith(" (mod 4)")
 
 
+def test_cocycle_failure_refuses_past_its_cell_budget(monkeypatch):
+    from cqca import cocycle
+
+    def no_draw(*args):
+        raise AssertionError("no vector may be drawn past the budget")
+
+    phi = default_phase(shear_g(3, 1))
+    cells = (24 + 2 * 10) * 3  # radius 1 on one variable, 10 samples
+    monkeypatch.setattr(cocycle, "COCYCLE_CELL_BUDGET", cells)
+    assert cocycle_failure(phi, radius=1, samples=10) is None
+    monkeypatch.setattr(cocycle, "COCYCLE_CELL_BUDGET", cells - 1)
+    monkeypatch.setattr(cocycle, "random_coefficients", no_draw)
+    with pytest.raises(ValueError, match=f"would draw {cells} vector-cells, over the budget of {cells - 1}"):
+        cocycle_failure(phi, radius=1, samples=10)
+
+
 def test_cocycle_failure_names_a_translation_witness(monkeypatch):
     real = PhaseFunction.evaluate_batch
 

@@ -3,6 +3,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from cqca import (
@@ -12,7 +13,7 @@ from cqca import (
     palindrome_divmod,
     palindromize,
 )
-from cqca.laurent import NEG_INF
+from cqca.laurent import NEG_INF, coefficient_dtype
 
 
 def oracle_mul(f, g):
@@ -228,8 +229,7 @@ def test_mul_matches_oracle_randomized():
             assert f._mul_dense(g) == oracle_mul(f, g)
         assert f * g == oracle_mul(f, g)
 
-    # The int64 accumulation edge: the largest prime below the dense modulus
-    # cap, windows at the product budget, every coefficient p - 1.  Since
+    # Windows at the product budget with every coefficient p - 1.  Since
     # (p-1)^2 = 1 mod p, each product coefficient is the number of pairs
     # landing on it.
     p = 1048573
@@ -261,6 +261,43 @@ def test_mul_matches_oracle_randomized():
         f = box_poly(rng, p, [4], [shift])
         assert f._mul_dense(f) is None
         assert f * f == oracle_mul(f, f)
+
+
+def test_dense_path_takes_every_prime(monkeypatch):
+    """Non-hollow products take the dense path whatever the size of p."""
+
+    def no_sparse(self, other):
+        raise AssertionError("a non-hollow product reached the sparse walk")
+
+    monkeypatch.setattr(LaurentPoly, "_mul_sparse", no_sparse)
+    rng = random.Random(24)
+    for p in (1048583, 2**31 - 1):
+        for _ in range(100):
+            d = rng.choice((1, 1, 2))
+            f, g = (
+                box_poly(rng, p, [rng.randint(1, 6) for _ in range(d)], [rng.randint(-3, 3) for _ in range(d)])
+                for _ in range(2)
+            )
+            assert f * g == oracle_mul(f, g)
+
+
+def test_dense_dtype_boundary_matches_sparse():
+    """Products either side of the int64 bound 2p + n p^2 < 2^63 are exact.
+
+    n is the length of the shorter window.  At this p a shorter window of
+    200 cells still sums in int64 and one of 201 cells needs Python ints;
+    with every coefficient p - 1 the middle cells of the int64 product come
+    within 2^40 of 2^63.
+    """
+    p = 214748357
+    assert 2 * p + 200 * p * p < 2**63 <= 2 * p + 201 * p * p
+    assert coefficient_dtype(p, 200) is np.int64 and coefficient_dtype(p, 201) is object
+    g = box_poly(None, p, [299], [-150], coeff=p - 1)
+    for n in (200, 201):
+        f = box_poly(None, p, [n - 1], [7], coeff=p - 1)
+        product = f._mul_dense(g)
+        assert product is not None
+        assert product.terms == f._mul_sparse(g).terms
 
 
 def test_ring_axioms_randomized():
@@ -396,7 +433,8 @@ def test_hash_consistency():
 
 # -- differential checks against sympy over GF(p) ----------------------------------
 
-DIFF_PRIMES = (2, 3, 5, 1048573)
+# 1048583 lays its dense windows out in int64, 2^31 - 1 as Python ints.
+DIFF_PRIMES = (2, 3, 5, 1048573, 1048583, 2**31 - 1)
 
 
 def to_sympy(f, gens, lo):

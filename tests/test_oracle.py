@@ -256,12 +256,11 @@ def test_clifford_action_window_guards():
         check_clifford_action(flat, default_phase(flat), Window(2, 0, 1))
 
 
-def test_clifford_action_sampled_branch():
+def test_clifford_action_sampled_branch(monkeypatch):
     s = shift(3, 1, 1)
     phi = default_phase(s)
-    assert check_clifford_action(
-        s, phi, Window(3, 0, 2), max_exhaustive=1, samples=64, seed=3
-    )
+    monkeypatch.setattr(oracle, "CLIFFORD_EXHAUSTIVE_PAIRS", 1)
+    assert check_clifford_action(s, phi, Window(3, 0, 2), samples=64, seed=3)
 
 
 def test_clifford_action_samples_the_pairs_of_phasevector_random(monkeypatch):
@@ -411,7 +410,7 @@ def test_batched_commutation_exponent_without_a_phase():
     assert oracle._commutation_exponents(moved, w[::-1], 3).tolist() == [-1, -1]
 
 
-def pair_loop_clifford_action(s, phi, window, max_exhaustive=4096, samples=512, seed=7):
+def pair_loop_clifford_action(s, phi, window, samples=512, seed=7):
     """check_clifford_action as a loop over PhaseVector pairs, three operators each."""
     radius = s.radius()
     inner = range(window.lo + radius, window.hi - radius + 1)
@@ -425,7 +424,7 @@ def pair_loop_clifford_action(s, phi, window, max_exhaustive=4096, samples=512, 
         rhs_phase = phi.evaluate(xi + eta) - step * beta(xi, eta)
         return lhs.scaled(lhs_phase - rhs_phase) == rhs
 
-    if (p * p) ** (2 * len(inner)) <= max_exhaustive:
+    if (p * p) ** (2 * len(inner)) <= oracle.CLIFFORD_EXHAUSTIVE_PAIRS:
         vectors = []
         for values in product(product(range(p), repeat=2), repeat=len(inner)):
             plus = {x: a for x, (a, _) in zip(inner, values) if a}
@@ -439,7 +438,7 @@ def pair_loop_clifford_action(s, phi, window, max_exhaustive=4096, samples=512, 
     )
 
 
-def test_batched_clifford_action_matches_the_pair_loop():
+def test_batched_clifford_action_matches_the_pair_loop(monkeypatch):
     verdicts = []
     for p in (2, 3, 5):
         one = LaurentPoly.one(p, 1)
@@ -461,14 +460,16 @@ def test_batched_clifford_action_matches_the_pair_loop():
             # p = 5, left to the sampled run), two inner cells exhaustively at
             # p = 2 and by sampling at odd p.
             narrow = Window(p, 0, 2 * s.radius())
+            exhaustive = oracle.CLIFFORD_EXHAUSTIVE_PAIRS
             runs = [
-                (narrow, {"max_exhaustive": 1, "samples": 24}),
-                (Window(p, 0, 2 * s.radius() + 1), {"samples": 24, "seed": p}),
+                (narrow, 1, {"samples": 24}),
+                (Window(p, 0, 2 * s.radius() + 1), exhaustive, {"samples": 24, "seed": p}),
             ]
             if p < 5:
-                runs.append((narrow, {}))
+                runs.append((narrow, exhaustive, {}))
             for phi in phases:
-                for window, kwargs in runs:
+                for window, pairs, kwargs in runs:
+                    monkeypatch.setattr(oracle, "CLIFFORD_EXHAUSTIVE_PAIRS", pairs)
                     expected = pair_loop_clifford_action(s, phi, window, **kwargs)
                     assert check_clifford_action(s, phi, window, **kwargs) == expected, (p, s, phi, window)
                     verdicts.append(expected)

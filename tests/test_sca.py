@@ -23,6 +23,7 @@ from cqca import (
     upper_shear_g,
 )
 from cqca.factor import multiply_word, random_word
+from cqca.laurent import coefficient_dtype
 
 
 def poly(p, terms, d=1):
@@ -89,12 +90,12 @@ def test_orbit_matches_apply_stepping():
             s = multiply_word(random_word(p, rng.randint(1, 10), 3, seed=rng.random()))
             xi = PhaseVector.random(rng, p, range(-3, 4))
             cases.append((s, xi if not xi.is_zero() else PhaseVector.e_minus(p), 12, True))
-    # Every coefficient p - 1 at the largest prime of the window path.
-    q = 1048573
-    full = poly(q, {e: q - 1 for e in range(-3, 4)})
-    cases.append((ScaMatrix(full, full, full, full), PhaseVector(full, full), 6, True))
+    # Every coefficient p - 1, at primes either side of 2^20.
+    for q in (1048573, 1048583):
+        full = poly(q, {e: q - 1 for e in range(-3, 4)})
+        cases.append((ScaMatrix(full, full, full, full), PhaseVector(full, full), 6, True))
     cases.append((shear_g(3, 2, 1), PhaseVector.e_plus(3), 0, True))
-    # Dict path: modulus above the window cap, hollow entries, hollow start, zero start.
+    # Dict path: window sums past int64, hollow entries, hollow start, zero start.
     big = 2147483647
     cases.append((shear_g(big, 1, 5), PhaseVector(poly(big, {-5: 1, 7: 1}), poly(big, {0: 1})), 8, False))
     cases.append((shear_g(5, 5**3, 2), PhaseVector(poly(5, {-5: 1, 7: 1}), poly(5, {0: 3})), 5, False))
@@ -112,9 +113,9 @@ def test_orbit_matches_apply_stepping():
     box = [(x, y) for x in range(-1, 2) for y in range(-1, 2)]
     cases.append((s2, PhaseVector.random(rng, 3, box, d=2), 5, False))
     cases.append((s2, PhaseVector.zero(3, 2), 2, False))
-    # Coefficients beyond int64 travel as Python ints.
-    huge = 18446744073709551629
-    cases.append((shear_g(huge, 1, huge - 1), PhaseVector(poly(huge, {0: huge - 2}), poly(huge, {})), 4, False))
+    # Coefficients whose sums can leave int64 (p >= 2^62) travel as Python ints.
+    for huge in (4611686018427388039, 18446744073709551629):
+        cases.append((shear_g(huge, 1, huge - 1), PhaseVector(poly(huge, {0: huge - 2}), poly(huge, {})), 4, False))
 
     for s, xi, steps, windowed in cases:
         assert (s._orbit_windows(xi, steps) is not None) == windowed
@@ -127,7 +128,7 @@ def test_orbit_matches_apply_stepping():
             support = eta.support()
             flat = support if s.d == 1 else [v for c in support for v in c]
             assert cells.dtype == (np.int64 if all(-(2**63) <= v < 2**63 for v in flat) else object)
-            assert plus.dtype == minus.dtype == (np.int64 if s.p <= 2**63 else object)
+            assert plus.dtype == minus.dtype == coefficient_dtype(s.p)
             got = cells.tolist() if s.d == 1 else [tuple(c) for c in cells.tolist()]
             assert got == support, (s, xi, t)
             assert plus.tolist() == [eta.plus.coeff(x) for x in support]
