@@ -29,14 +29,13 @@ once and phi is this integer quadratic form, for every p and d.
 
 PhaseFunction.evaluate_batch computes it for a whole family of vectors held
 as one coefficient array (see phasespace): the linear and diagonal terms
-are sums over the cells, and each table entry at a forward offset adds one
-product of two shifted slices, so the cost is O(vectors * cells * radius).  For
-d > 1 the box is laid out flat with padded strides, so that each offset
-of the table lands on one flat offset and flat order is the lexicographic
-order of the cells.  evaluate() on one PhaseVector is the one-vector case.
+are sums over the cells, and each table entry at a forward offset x adds one
+product of two slices of the box, the cells y and y + x that both lie in it,
+so the cost is O(vectors * cells * radius) for every d.  evaluate() on one
+PhaseVector is the one-vector case.
 
 cocycle_failure checks the identity against the route that does not use
-the table: C computed with beta on images from ScaMatrix.apply_window.  It
+the table: C computed with beta_batch on images from ScaMatrix.apply_window.  It
 evaluates seeded families (or, for p = 2 on one-variable windows of at
 most five cells, every vector of the window) in a few batch calls, and
 names the first pair that fails.
@@ -53,12 +52,13 @@ gen == C(e, e) (mod 2).  default_phase takes the least solutions.
 from __future__ import annotations
 
 import random
+from math import prod
 
 import numpy as np
 
 from . import sca
 from .ffield import check_prime
-from .phasespace import PhaseVector, beta, coefficient_dtype, random_coefficients
+from .phasespace import PhaseVector, beta, beta_batch, coefficient_dtype, random_coefficients
 
 __all__ = [
     "COCYCLE_CELL_BUDGET",
@@ -140,33 +140,25 @@ class PhaseFunction:
         box = coeffs.shape[1:-1]
         if len(box) != s.d or coeffs.shape[-1] != 2:
             raise ValueError(f"expected a (vectors, box of {s.d} axes, 2) coefficient array")
-        # Every axis after the first is padded by the reach of the table on it,
-        # capped at n - 1 (longer offsets meet no pair of cells of the box).
-        # A table offset x then sits at the flat offset sum(x_a * stride_a),
-        # no two such offsets share one, a target outside the box lands on
-        # padding or past the end, and flat order is lexicographic order.
-        shape = box[:1] + tuple(n + min(t, n - 1) for n, t in zip(box[1:], self._reach[1:]))
-        strides = [1] * s.d
-        for a in range(s.d - 1, 0, -1):
-            strides[a - 1] = strides[a] * shape[a]
-        cells = strides[0] * shape[0]
         # int64 bound: each sum below adds at most 2 * cells products of two
         # numbers below p (coefficients, table values, partial sums reduced
         # mod p) or below 2p (generator exponents), so it stays below
         # 4 * cells * p^2.
-        dtype = coefficient_dtype(p, 4 * cells)
-        planes = np.zeros((2, len(coeffs)) + shape, dtype=dtype)
-        inside = (slice(None), slice(None)) + tuple(slice(0, n) for n in box)
-        planes[inside] = np.moveaxis(coeffs, -1, 0)
-        planes = planes.reshape(2, len(coeffs), cells)
+        planes = np.moveaxis(coeffs, -1, 0).astype(coefficient_dtype(p, 4 * prod(box)), order="C")
+        box_axes = tuple(range(-s.d, 0))
         gens = (self.gen_plus, self.gen_minus)
-        linear = sum(gen * plane.sum(axis=1) for gen, plane in zip(gens, planes))
-        halves = (planes * (planes - 1) // 2 % p).sum(axis=2) % p
+        linear = sum(gen * plane.sum(axis=box_axes) for gen, plane in zip(gens, planes))
+        halves = (planes * (planes - 1) // 2 % p).sum(axis=box_axes) % p
         quadratic = sum(diag * half for diag, half in zip(self._diagonals, halves))
+        axes = list(range(s.d + 1))  # einsum subscripts: the vector axis, then the box
         for x, t, u, value in self._cross:
             if all(abs(e) < n for e, n in zip(x, box)):
-                f = sum(e * stride for e, stride in zip(x, strides))
-                pairs = np.einsum("vi,vi->v", planes[t, :, : cells - f], planes[u, :, f:])
+                # component t at cell y against component u at cell y + x
+                here = [slice(max(0, -e), n - max(0, e)) for e, n in zip(x, box)]
+                there = [slice(max(0, e), n - max(0, -e)) for e, n in zip(x, box)]
+                pairs = np.einsum(
+                    planes[(t, slice(None), *here)], axes, planes[(u, slice(None), *there)], axes, [0]
+                )
                 quadratic = (quadratic + value * (pairs % p)) % p
         return (linear + self.order // p * quadratic) % self.order
 
@@ -219,14 +211,6 @@ def default_phase(s: sca.ScaMatrix) -> PhaseFunction:
     return PhaseFunction(s, 0, 0)
 
 
-def _betas(xi: np.ndarray, eta: np.ndarray, p: int) -> np.ndarray:
-    """beta(xi[k], eta[k]) for each pair of two families on one box, as ints mod p."""
-    products = xi[..., 0].reshape(len(xi), -1)
-    dtype = coefficient_dtype(p, products.shape[1])
-    products = products.astype(dtype, copy=False) * eta[..., 1].reshape(len(eta), -1)
-    return products.sum(axis=1) % p
-
-
 def cocycle_failure(phi: PhaseFunction, radius: int, samples: int = 10000, seed: int = 11):
     """The first failure of the cocycle identity within the radius, as a message, or None.
 
@@ -235,12 +219,14 @@ def cocycle_failure(phi: PhaseFunction, radius: int, samples: int = 10000, seed:
     Then every pair of vectors is checked for p = 2, d = 1, radius <= 2 (the
     group is small enough), and a seeded sample of `samples` pairs
     otherwise, drawn as PhaseVector.random would draw them.  C is computed
-    with beta on the images of apply_window, independently of the table
+    with beta_batch on the images of apply_window, independently of the table
     behind evaluate_batch.  A message names the failing vectors as
     (plus, minus) polynomials.  ValueError past COCYCLE_CELL_BUDGET drawn vector-cells.
     """
     if samples < 1:
         raise ValueError(f"samples must be positive, got {samples}")
+    if radius < 0:
+        raise ValueError(f"radius must be non-negative, got {radius}")
     s = phi.automaton
     p, d = s.p, s.d
     order = phi.order
@@ -302,7 +288,7 @@ def cocycle_failure(phi: PhaseFunction, radius: int, samples: int = 10000, seed:
         return None
     draws = random_coefficients(rng, p, 2 * samples, width**d).reshape((samples, 2) + box + (2,))
     xi, eta = draws[:, 0], draws[:, 1]
-    corrections = _betas(xi, eta, p) - _betas(s.apply_window(xi), s.apply_window(eta), p)
+    corrections = beta_batch(xi, eta, p) - beta_batch(s.apply_window(xi), s.apply_window(eta), p)
     got = phi.evaluate_batch((xi + eta) % p)
     expected = (phi.evaluate_batch(xi) + phi.evaluate_batch(eta) + step * (corrections % p)) % order
     for k in np.flatnonzero(got != expected)[:1]:

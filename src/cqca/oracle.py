@@ -24,12 +24,13 @@ coefficients, shape (vectors, cells, 2) with the plus coefficient before
 the minus one, and one digit rule (_weyl_batch, which weyl_matrix calls
 with a single vector) builds the operators of all its members as row and
 phase arrays of shape (vectors, dim).  Pairs are composed in blocks of
-bounded size.  check_clifford_action takes the images and phases of its
-distinct vectors from the batched ScaMatrix.apply_window and
-PhaseFunction.evaluate_batch; the forms under test, beta and sigma, still
-take PhaseVectors and run once per pair.  check_unitary,
-check_weyl_relation, commutation_exponent, check_commutation and
-check_order_condition stay as the per-pair reference.
+bounded size.  The batched checks never leave the arrays: beta comes from
+phasespace.beta_batch on the pairs of a block, sigma is
+beta_batch(xi, eta) - beta_batch(eta, xi), and check_clifford_action takes
+the images and phases of its distinct vectors from ScaMatrix.apply_window
+and PhaseFunction.evaluate_batch.  check_unitary, check_weyl_relation,
+commutation_exponent, check_commutation and check_order_condition stay as
+the per-pair reference, with beta and sigma on PhaseVectors.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ import numpy as np
 from . import sca
 from .cocycle import PhaseFunction, default_phase, phase_group_order
 from .laurent import LaurentPoly, _coeff_window
-from .phasespace import PhaseVector, beta, random_coefficients, sigma
+from .phasespace import PhaseVector, beta, beta_batch, random_coefficients, sigma
 
 __all__ = [
     "MAX_WINDOW_DIM",
@@ -281,9 +282,12 @@ def check_clifford_action(
     radius) so every image stays inside the window: exhaustively up to
     CLIFFORD_EXHAUSTIVE_PAIRS pairs, else by seeded sampling in the draw
     order of PhaseVector.random.  The images and phases of the distinct
-    vectors come from s.apply_window and phi.evaluate_batch; beta, the form
-    under test, runs once per pair.
+    vectors come from s.apply_window and phi.evaluate_batch, and the beta of
+    each pair from beta_batch.  ValueError if s, phi and the window do not
+    share one prime.
     """
+    if not s.p == phi.automaton.p == window.p:
+        raise ValueError(f"modulus mismatch: automaton {s.p}, phase {phi.automaton.p}, window {window.p}")
     if s.d != 1:
         raise ValueError("the operator oracle is one-dimensional")
     if samples < 1:
@@ -309,13 +313,11 @@ def check_clifford_action(
     distinct, inverse = np.unique(stacked, axis=0, return_inverse=True)
     first, second, total = inverse.reshape(3, -1)
     distinct = distinct.reshape(-1, n_inner, 2)
-    domain = [PhaseVector.from_coefficients(p, c, inner_lo) for c in distinct]
     # The inner window widened by the radius on both sides is the window.
     images = s.apply_window(distinct)
     phases = phi.evaluate_batch(distinct)
-    betas = [beta(domain[i], domain[j]) for i, j in zip(first.tolist(), second.tolist())]
     # phi(xi) phi(eta) w(s xi) w(s eta) must equal eps_p^{beta(xi, eta)} phi(xi + eta) w(s(xi + eta)).
-    shift = phases[total] - phases[first] - phases[second] - phi.order // p * np.array(betas, dtype=np.int64)
+    shift = phases[total] - phases[first] - phases[second] - phi.order // p * beta_batch(xi, eta, p)
     for block in _blocks(len(first), window.dim):
         lhs = _weyl_batch(images[first[block]], p) @ _weyl_batch(images[second[block]], p)
         if lhs != _weyl_batch(images[total[block]], p).scaled(shift[block]):
@@ -342,7 +344,7 @@ def _selftest_family(p: int, sites: int) -> np.ndarray:
     return np.concatenate(family)
 
 
-def _check_family(family: np.ndarray, vectors: list, p: int):
+def _check_family(family: np.ndarray, p: int):
     """(unitarity, order_condition) verdicts over every member of the family."""
     step = phase_group_order(p) // p
     kappa = p * (p - 1) // 2
@@ -354,26 +356,23 @@ def _check_family(family: np.ndarray, vectors: list, p: int):
         for _ in range(p - 1):
             power = power @ w
         identity = _weyl_batch(np.zeros_like(family[block]), p)
-        expected = [-step * kappa * beta(v, v) for v in vectors[block]]
+        expected = -step * kappa * beta_batch(family[block], family[block], p)
         order_ok = order_ok and power == identity.scaled(expected)
     return unitary, order_ok
 
 
-def _check_pairs(family: np.ndarray, vectors: list, first: np.ndarray, second: np.ndarray, p: int):
+def _check_pairs(family: np.ndarray, first: np.ndarray, second: np.ndarray, p: int):
     """(weyl_relation, commutation) verdicts on the pairs (family[first[k]], family[second[k]])."""
     step = phase_group_order(p) // p
-    pairs = [(vectors[i], vectors[j]) for i, j in zip(first.tolist(), second.tolist())]
     # each family member of the block is built once
     members, local = np.unique(np.concatenate([first, second]), return_inverse=True)
     w = _weyl_batch(family[members], p)
     w_xi, w_eta = w[local[: len(first)]], w[local[len(first) :]]
     xi, eta = family[first], family[second]
-    relation = _weyl_batch((xi + eta) % p, p) == (w_xi @ w_eta).scaled(
-        [step * beta(a, b) for a, b in pairs]
-    )
-    commutation = np.array_equal(
-        _commutation_exponents(w_xi, w_eta, p), [sigma(a, b) for a, b in pairs]
-    )
+    forward, backward = beta_batch(xi, eta, p), beta_batch(eta, xi, p)
+    relation = _weyl_batch((xi + eta) % p, p) == (w_xi @ w_eta).scaled(step * forward)
+    # sigma(xi, eta) = beta(xi, eta) - beta(eta, xi)
+    commutation = np.array_equal(_commutation_exponents(w_xi, w_eta, p), (forward - backward) % p)
     return relation, commutation
 
 
@@ -391,7 +390,6 @@ def run_selftest(p: int, sites: int, seed: int = 7) -> list:
     if sites < 2 * radius + 1:
         raise ValueError(f"window [{window.lo}, {window.hi}] too small for radius {radius}")
     family = _selftest_family(p, sites)
-    vectors = [PhaseVector.from_coefficients(p, c, window.lo) for c in family]
     n = len(family)
     if n * n <= SELFTEST_PAIR_BUDGET:
         first, second = np.divmod(np.arange(n * n), n)
@@ -403,10 +401,10 @@ def run_selftest(p: int, sites: int, seed: int = 7) -> list:
         first, second = np.array(draws, dtype=np.int64).reshape(-1, 2).T
     relation = commutation = True
     for block in _blocks(len(first), window.dim):
-        block_relation, block_commutation = _check_pairs(family, vectors, first[block], second[block], p)
+        block_relation, block_commutation = _check_pairs(family, first[block], second[block], p)
         relation &= block_relation
         commutation &= block_commutation
-    unitary, order_ok = _check_family(family, vectors, p)
+    unitary, order_ok = _check_family(family, p)
     clifford = all(check_clifford_action(s, default_phase(s), window, seed=seed) for s in automata)
     verdicts = (
         ("unitarity", unitary, n),

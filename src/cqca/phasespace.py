@@ -21,12 +21,14 @@ variable, cells in lexicographic order), and the last axis holds the plus
 coefficient before the minus one.  The array is int64, or object (Python
 ints) where coefficient_dtype (from laurent) says int64 sums could overflow.
 random_coefficients draws such a family in the order PhaseVector.random
-draws one vector.
+draws one vector, and beta_batch is beta on the members of two families,
+pair by pair, without leaving the arrays.
 """
 
 from __future__ import annotations
 
 from itertools import product
+from math import prod
 
 import numpy as np
 
@@ -39,6 +41,7 @@ __all__ = [
     "form_sigma_poly",
     "coefficient_dtype",
     "random_coefficients",
+    "beta_batch",
 ]
 
 
@@ -51,6 +54,19 @@ def random_coefficients(rng, p: int, count: int, sites: int) -> np.ndarray:
     """
     draws = [rng.randrange(p) for _ in range(count * sites * 2)]
     return np.array(draws, dtype=coefficient_dtype(p)).reshape(count, sites, 2)
+
+
+def beta_batch(xi, eta, p: int) -> np.ndarray:
+    """beta(xi[k], eta[k]) for each k of two families of one shape, as ints in [0, p).
+
+    The families are coefficient arrays (vectors,) + box + (2,) with entries
+    in [0, p); coefficient_dtype picks the dtype of the sums.
+    """
+    xi, eta = np.asarray(xi), np.asarray(eta)
+    if xi.shape != eta.shape:
+        raise ValueError(f"families of different shapes: {xi.shape} vs {eta.shape}")
+    plus = xi[..., 0].astype(coefficient_dtype(p, prod(xi.shape[1:-1])), copy=False)
+    return (plus * eta[..., 1]).sum(axis=tuple(range(1, xi.ndim - 1))) % p
 
 
 class PhaseVector:

@@ -18,7 +18,6 @@ of arrays at a time.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -304,9 +303,6 @@ class ScaMatrix:
                 [str(self.mp), str(self.mm)],
             ],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
 
 
 # -- orbits --------------------------------------------------------------------

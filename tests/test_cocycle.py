@@ -221,6 +221,13 @@ def test_validate_cocycle_rejects_empty_samples():
             validate_cocycle(bad, 4, samples=samples)
 
 
+def test_validate_cocycle_rejects_a_negative_radius():
+    phi = default_phase(shear_g(3, 1, 1))
+    assert validate_cocycle(phi, 0)
+    with pytest.raises(ValueError, match="radius must be non-negative, got -1"):
+        validate_cocycle(phi, -1)
+
+
 def test_validate_cocycle_two_dimensional():
     phi = default_phase(identity(3, d=2))
     assert validate_cocycle(phi, radius=1, samples=400)
@@ -447,6 +454,14 @@ def test_cocycle_failure_refuses_past_its_cell_budget(monkeypatch):
     monkeypatch.setattr(cocycle, "random_coefficients", no_draw)
     with pytest.raises(ValueError, match=f"would draw {cells} vector-cells, over the budget of {cells - 1}"):
         cocycle_failure(phi, radius=1, samples=10)
+
+
+def test_cocycle_failure_rejects_a_negative_radius():
+    phi = default_phase(shear_g(2, 1, 1))
+    assert cocycle_failure(phi, 0) is None
+    for radius in (-1, -5):
+        with pytest.raises(ValueError, match=f"radius must be non-negative, got {radius}"):
+            cocycle_failure(phi, radius)
 
 
 def test_cocycle_failure_names_a_translation_witness(monkeypatch):

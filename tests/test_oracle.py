@@ -34,6 +34,7 @@ from cqca.oracle import (
     run_selftest,
     weyl_matrix,
 )
+from cqca.phasespace import beta_batch
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -256,6 +257,16 @@ def test_clifford_action_window_guards():
         check_clifford_action(flat, default_phase(flat), Window(2, 0, 1))
 
 
+def test_clifford_action_rejects_a_foreign_prime():
+    s = shear_g(3, 1, 1)
+    for p in (2, 5):
+        with pytest.raises(ValueError, match=f"modulus mismatch: automaton 3, phase 3, window {p}"):
+            check_clifford_action(s, default_phase(s), Window(p, 0, 3))
+    foreign = shear_g(2, 1, 1)
+    with pytest.raises(ValueError, match="modulus mismatch: automaton 2, phase 3, window 2"):
+        check_clifford_action(foreign, default_phase(s), Window(2, 0, 3))
+
+
 def test_clifford_action_sampled_branch(monkeypatch):
     s = shift(3, 1, 1)
     phi = default_phase(s)
@@ -266,11 +277,14 @@ def test_clifford_action_sampled_branch(monkeypatch):
 def test_clifford_action_samples_the_pairs_of_phasevector_random(monkeypatch):
     seen = []
 
-    def recording(xi, eta):
-        seen.append((xi, eta))
-        return beta(xi, eta)
+    def recording(xi, eta, p):
+        seen.extend(
+            (PhaseVector.from_coefficients(p, a, 1), PhaseVector.from_coefficients(p, b, 1))
+            for a, b in zip(xi, eta)
+        )
+        return beta_batch(xi, eta, p)
 
-    monkeypatch.setattr(oracle, "beta", recording)
+    monkeypatch.setattr(oracle, "beta_batch", recording)
     s = shear_g(3, 1, 1)
     assert check_clifford_action(s, default_phase(s), Window(3, 0, 3), samples=40, seed=5)
     rng = random.Random(5)
@@ -302,9 +316,9 @@ def test_selftest_samples_pairs_past_the_budget(monkeypatch):
     checked = []
     real = oracle._check_pairs
 
-    def counting(family, vectors, first, second, p):
+    def counting(family, first, second, p):
         checked.extend(zip(first.tolist(), second.tolist()))
-        return real(family, vectors, first, second, p)
+        return real(family, first, second, p)
 
     monkeypatch.setattr(oracle, "SELFTEST_PAIR_BUDGET", 100)
     monkeypatch.setattr(oracle, "_check_pairs", counting)
@@ -320,8 +334,9 @@ def test_selftest_samples_pairs_past_the_budget(monkeypatch):
     expected = [(rng.choice(family), rng.choice(family)) for _ in range(100)]
     assert [(family[i], family[j]) for i, j in checked] == expected
 
-    # a wrong commutation phase is still caught on the sample
-    monkeypatch.setattr(oracle, "sigma", lambda xi, eta: 0)
+    # a wrong commutation phase is still caught on the sample: with beta
+    # read as 0 everywhere, sigma = beta(xi, eta) - beta(eta, xi) is 0 too
+    monkeypatch.setattr(oracle, "beta_batch", lambda xi, eta, p: np.zeros(len(xi), dtype=np.int64))
     by_name = {r["check"]: r for r in run_selftest(2, 3)}
     assert not by_name["commutation"]["pass"]
 
@@ -362,13 +377,17 @@ def random_family(rng, p, sites, count):
 
 
 def test_batched_checks_match_the_per_pair_reference(monkeypatch):
-    # beta and sigma are corrupted on some vectors, so that verdicts differ
-    # from pair to pair; the per-pair functions read the same corrupted forms.
+    # beta_batch is corrupted on some vectors, so that verdicts differ from
+    # pair to pair; the per-pair functions read beta and sigma corrupted by
+    # the same rule, sigma being beta(xi, eta) - beta(eta, xi).
+    def bad_beta_batch(xi, eta, p):
+        return (beta_batch(xi, eta, p) + (xi[:, 0, 0] == 1) * eta[:, 0, 1]) % p
+
     def bad_beta(xi, eta):
         return (beta(xi, eta) + (xi.plus.coeff(0) == 1) * eta.minus.coeff(0)) % xi.p
 
     def bad_sigma(xi, eta):
-        return (sigma(xi, eta) + (xi.minus.coeff(0) == 1)) % xi.p
+        return (bad_beta(xi, eta) - bad_beta(eta, xi)) % xi.p
 
     rng = random.Random(20261018)
     seen = set()
@@ -382,20 +401,21 @@ def test_batched_checks_match_the_per_pair_reference(monkeypatch):
             exponents = oracle._commutation_exponents(w[first], w[second], p)
             for k, (i, j) in enumerate(zip(first.tolist(), second.tolist())):
                 assert exponents[k] == commutation_exponent(vectors[i], vectors[j], window)
-            for forms in ((beta, sigma), (bad_beta, bad_sigma)):
-                monkeypatch.setattr(oracle, "beta", forms[0])
-                monkeypatch.setattr(oracle, "sigma", forms[1])
+            for forms in ((beta_batch, beta, sigma), (bad_beta_batch, bad_beta, bad_sigma)):
+                monkeypatch.setattr(oracle, "beta_batch", forms[0])
+                monkeypatch.setattr(oracle, "beta", forms[1])
+                monkeypatch.setattr(oracle, "sigma", forms[2])
                 relation = [check_weyl_relation(vectors[i], vectors[j], window) for i, j in zip(first, second)]
                 commutation = [check_commutation(vectors[i], vectors[j], window) for i, j in zip(first, second)]
                 order = [check_order_condition(v, window) for v in vectors]
                 seen.update(relation + commutation + order)
                 for k in range(len(first)):
-                    verdicts = oracle._check_pairs(family, vectors, first[k : k + 1], second[k : k + 1], p)
+                    verdicts = oracle._check_pairs(family, first[k : k + 1], second[k : k + 1], p)
                     assert verdicts == (relation[k], commutation[k]), (p, sites, k)
-                assert oracle._check_pairs(family, vectors, first, second, p) == (all(relation), all(commutation))
+                assert oracle._check_pairs(family, first, second, p) == (all(relation), all(commutation))
                 for k in range(len(family)):
-                    assert oracle._check_family(family[k : k + 1], vectors[k : k + 1], p) == (True, order[k])
-                assert oracle._check_family(family, vectors, p) == (True, all(order))
+                    assert oracle._check_family(family[k : k + 1], p) == (True, order[k])
+                assert oracle._check_family(family, p) == (True, all(order))
     assert seen == {True, False}
 
 

@@ -1,12 +1,15 @@
 """Tests for phase-space vectors and the forms beta, sigma, Sigma."""
 
 import random
+from math import prod
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cqca import LaurentPoly, PhaseVector, beta, form_sigma_poly, sigma
-from cqca.phasespace import random_coefficients
+from cqca.phasespace import beta_batch, coefficient_dtype, random_coefficients
 
 
 def rand_poly(rng, p, d=1, max_terms=4, span=3):
@@ -276,3 +279,46 @@ def test_from_coefficients_places_the_box():
     assert xi.minus == LaurentPoly(5, 2, {(1, 0): 2, (2, 0): 4})
     line = PhaseVector.from_coefficients(5, coeffs[1], -3)
     assert line == PhaseVector(LaurentPoly(5, 1, {-2: 3}), LaurentPoly(5, 1, {-2: 4}))
+
+
+PRIMES = (2, 3, 5, 1048573, 10**18 + 3)
+
+
+@st.composite
+def family_pairs(draw):
+    """Two families of one shape, the first cell of their box, and zero padding.
+
+    The padding is (before, after) per axis: how many zero cells a wider
+    box has on either side of the families' box.
+    """
+    p = draw(st.sampled_from(PRIMES))
+    d = draw(st.sampled_from((1, 2)))
+    box = tuple(draw(st.integers(1, 5 if d == 1 else 3)) for _ in range(d))
+    shape = (draw(st.integers(0, 4)),) + box + (2,)
+    coeff = st.one_of(st.just(0), st.just(p - 1), st.integers(0, p - 1))
+    values = st.lists(coeff, min_size=prod(shape), max_size=prod(shape))
+    families = [np.array(draw(values), dtype=coefficient_dtype(p)).reshape(shape) for _ in range(2)]
+    first = st.integers(-3, 3)
+    lo = draw(first) if d == 1 else draw(st.tuples(first, first))
+    padding = [draw(st.tuples(st.integers(0, 3), st.integers(0, 3))) for _ in range(d)]
+    return p, families, lo, padding
+
+
+@settings(max_examples=200)
+@given(family_pairs())
+def test_beta_batch_matches_beta(case):
+    p, (xi, eta), lo, padding = case
+    pairs = zip(*([PhaseVector.from_coefficients(p, c, lo) for c in f] for f in (xi, eta)))
+    expected = [beta(a, b) for a, b in pairs]
+    got = beta_batch(xi, eta, p)
+    assert got.shape == (len(xi),)
+    assert got.dtype == coefficient_dtype(p, prod(xi.shape[1:-1]))
+    assert got.tolist() == expected
+    # zero cells around the box change no beta
+    wide = [(0, 0), *padding, (0, 0)]
+    assert beta_batch(np.pad(xi, wide), np.pad(eta, wide), p).tolist() == expected
+
+
+def test_beta_batch_rejects_families_of_different_shapes():
+    with pytest.raises(ValueError, match="different shapes"):
+        beta_batch(np.zeros((2, 3, 2), dtype=np.int64), np.zeros((2, 4, 2), dtype=np.int64), 3)
