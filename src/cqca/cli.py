@@ -274,14 +274,34 @@ def cmd_selftest(args) -> int:
 # -- evolve ----------------------------------------------------------------------
 
 
-def _emit_csv(slices, d: int, out) -> None:
+def _emit_csv(blocks, d: int, out) -> None:
+    """Write orbit blocks (see ScaMatrix.orbit_blocks) as CSV rows t,x,plus,minus.
+
+    A block is written with one join of field strings, which _fields makes
+    once per distinct value of each column.
+    """
     out.write("t,x,plus,minus\n")
-    site = "%d" if d == 1 else ":".join(["%d"] * d)
-    for t, (cells, plus, minus) in enumerate(slices):
-        # One %-format of the row template repeated n times, not one f-string per row.
-        row = f"{t},{site},%d,%d\n"
-        values = np.column_stack((cells, plus, minus)).ravel().tolist()
-        out.write((row * len(cells)) % tuple(values))
+    separators = [","] + [":"] * (d - 1) + [",", ",", "\n"]
+    for _, _, t, cells, plus, minus in blocks:
+        if not len(t):
+            continue
+        columns = [t, *cells.reshape(len(t), d).T, plus, minus]
+        rows = np.empty((len(t), len(columns)), dtype=object)
+        for k, (column, sep) in enumerate(zip(columns, separators)):
+            rows[:, k] = _fields(column, sep)
+        out.write("".join(rows.ravel().tolist()))
+
+
+def _fields(column, sep: str) -> np.ndarray:
+    """The strings f"{value}{sep}" of a column, each distinct value formatted once."""
+    lo, hi = int(column.min()), int(column.max())
+    # Values denser than the rows index a table of their range, with no sort.
+    if column.dtype != object and hi - lo < len(column):
+        values, index = range(lo, hi + 1), column - lo
+    else:
+        values, index = np.unique(column, return_inverse=True)
+        values = values.tolist()
+    return np.array([f"{v}{sep}" for v in values], dtype=object)[index]
 
 
 def _ascii_window(s, xi0, steps):
@@ -341,7 +361,6 @@ def cmd_evolve(args) -> int:
         raise ValueError(
             f"pgm image of {width} x {steps + 1} pixels exceeds {_PGM_MAX_PIXELS}"
         )
-    slices = s.orbit(xi0, steps)
     stdout = sys.stdout.buffer if fmt == "pgm" else sys.stdout
     if not args.out:
         sink = contextlib.nullcontext(stdout)
@@ -351,11 +370,11 @@ def cmd_evolve(args) -> int:
         sink = open(args.out, "w", encoding="utf-8")
     with sink as out:
         if fmt == "csv":
-            _emit_csv(slices, d, out)
+            _emit_csv(s.orbit_blocks(xi0, steps), d, out)
         elif fmt == "ascii":
-            _emit_ascii(slices, lo, hi, out)
+            _emit_ascii(s.orbit(xi0, steps), lo, hi, out)
         else:
-            _emit_pgm(slices, lo, hi, steps, out)
+            _emit_pgm(s.orbit(xi0, steps), lo, hi, steps, out)
     if not args.out:
         stdout.flush()
     return 0

@@ -65,6 +65,14 @@ def _is_hollow(spans, n_terms) -> bool:
     return math.prod(s + 1 for s in spans) > 16 * n_terms + 64
 
 
+def _strides(shape):
+    """Row-major strides, in cells, of a window of the given shape."""
+    strides = [1] * len(shape)
+    for i in range(len(shape) - 1, 0, -1):
+        strides[i - 1] = strides[i] * shape[i]
+    return strides
+
+
 def _coeff_window(poly, lo, strides, length, dtype=np.int64):
     """The coefficients of poly on a flat window, exponent e at offset (e - lo) @ strides."""
     window = np.zeros(length, dtype=dtype)
@@ -268,9 +276,7 @@ class LaurentPoly:
         if max(map(abs, lo_a + lo_b)) + max(span_a + span_b) >= _DENSE_MAX_EXP:
             return None
         shape = [x + y + 1 for x, y in zip(span_a, span_b)]
-        strides = [1] * d
-        for i in range(d - 1, 0, -1):
-            strides[i - 1] = strides[i] * shape[i]
+        strides = _strides(shape)
         len_a = sum(x * s for x, s in zip(span_a, strides)) + 1
         len_b = sum(x * s for x, s in zip(span_b, strides)) + 1
         if (

@@ -45,15 +45,35 @@ __all__ = [
 ]
 
 
+# Fewest missing values that random_coefficients draws in bulk.
+_BULK_DRAWS = 128
+
+
 def random_coefficients(rng, p: int, count: int, sites: int) -> np.ndarray:
     """count uniform vectors on `sites` cells as a (count, sites, 2) coefficient array.
 
     The draws are rng.randrange(p) vector by vector, cell by cell, the plus
     coefficient before the minus one: the draws of count successive
     PhaseVector.random calls on those cells.
+
+    Below 2^32, randrange(p) is the top p.bit_length() bits of one 32-bit
+    Mersenne Twister word, drawn again while it is p or more, and
+    getrandbits(32 * m) is m such words, the first in the lowest bits.  The
+    words are drawn that way, as many at a time as values are missing, so
+    the values and the generator state after them are those of the loop.
+    Bulk draws pay off on long runs only, so the last values, fewer than
+    _BULK_DRAWS, are drawn one by one.
     """
-    draws = [rng.randrange(p) for _ in range(count * sites * 2)]
-    return np.array(draws, dtype=coefficient_dtype(p)).reshape(count, sites, 2)
+    dtype = coefficient_dtype(p)
+    parts, missing = [], count * sites * 2
+    shift = 32 - p.bit_length()
+    while p < 1 << 32 and missing >= _BULK_DRAWS:
+        words = rng.getrandbits(32 * missing).to_bytes(4 * missing, "little")
+        values = np.frombuffer(words, dtype="<u4") >> shift
+        parts.append(values[values < p])
+        missing -= len(parts[-1])
+    parts.append(np.array([rng.randrange(p) for _ in range(missing)], dtype=dtype))
+    return np.concatenate(parts).reshape(count, sites, 2)
 
 
 def beta_batch(xi, eta, p: int) -> np.ndarray:

@@ -12,18 +12,31 @@ Named constructors cover the generating zoo: lattice shifts, the local
 cell transformations f_c, and the shear automata g_n that propagate
 plus-excitations to cells -n and n.
 
-ScaMatrix.orbit() yields the space-time trace of a vector, one time slice
-of arrays at a time.
+ScaMatrix.orbit_blocks() yields the space-time trace of a vector in blocks
+of consecutive time slices, and ScaMatrix.orbit() one slice at a time.  By
+Cayley-Hamilton, s^2 = tr(s) s - det(s) I, and det(s) = u^2a for an
+automaton, so an orbit obeys x_{t+2} = tr(s) x_{t+1} - u^2a x_t, one
+convolution with the trace per step; orbits step that way on coefficient
+windows, a block at a time, and with apply() where the windows would not
+suit them (see ScaMatrix._orbit_recurrence).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .ffield import check_prime, inv_mod
-from .laurent import _DENSE_MAX_EXP, LaurentPoly, _coeff_window, _is_hollow, coefficient_dtype
+from .laurent import (
+    _DENSE_MAX_EXP,
+    LaurentPoly,
+    _coeff_window,
+    _is_hollow,
+    _strides,
+    coefficient_dtype,
+)
 from .phasespace import PhaseVector, form_sigma_poly
 
 __all__ = [
@@ -108,7 +121,9 @@ class ScaMatrix:
         variable (see phasespace).  The images come back on the box widened
         by radius() cells at both ends of every axis, so their first cell is
         the first input cell minus radius() on each axis.  Every entry term
-        is one shifted multiply-add of a whole component slice.
+        is one shifted multiply-add of a whole component slice, and the sums
+        are reduced once at the end, or after every term where only that
+        keeps them in int64.
         """
         coeffs = np.asarray(coeffs)
         box = coeffs.shape[1:-1]
@@ -117,17 +132,24 @@ class ScaMatrix:
         p, r = self.p, self.radius()
         entries = ((0, 0, self.pp), (0, 1, self.pm), (1, 0, self.mp), (1, 1, self.mm))
         # int64 bound: an image coefficient sums at most one product of two
-        # residues per entry term, so the sums stay below terms * p^2.
+        # residues per entry term, so the sums stay below terms * p^2; with a
+        # reduction after every term they stay below p + p^2.
         terms = sum(len(entry.terms) for _, _, entry in entries)
         dtype = coefficient_dtype(p, terms)
+        each = dtype is object and coefficient_dtype(p, 1) is np.int64
+        if each:
+            dtype = np.int64
         source = coeffs.astype(dtype, copy=False)
         out = np.zeros((len(coeffs),) + tuple(n + 2 * r for n in box) + (2,), dtype=dtype)
         for row, col, entry in entries:
             part = source[..., col]
             for x, c in entry.terms.items():
-                target = tuple(slice(r + e, r + e + n) for e, n in zip(x, box))
-                out[(slice(None),) + target + (row,)] += c * part
-        out %= p
+                target = out[(slice(None),) + tuple(slice(r + e, r + e + n) for e, n in zip(x, box)) + (row,)]
+                target += c * part
+                if each:
+                    target %= p
+        if not each:
+            out %= p
         return out
 
     def orbit(self, xi: PhaseVector, steps: int):
@@ -136,58 +158,75 @@ class ScaMatrix:
         A slice is (cells, plus, minus): arrays sorted by cell that hold the
         support and its coefficients, in coefficient_dtype(p) (object from
         p = 2^62 on); cells are int64, or object when an exponent leaves
-        int64.  cells has shape (n,) for d == 1 and (n, d) otherwise.
-        One-variable orbits step on coefficient windows when _orbit_windows
-        allows it, every other orbit steps with apply().  A slice with a cell
-        more than t * radius outside the start support raises
+        int64.  cells has shape (n,) for d == 1 and (n, d) otherwise.  The
+        slices are those of orbit_blocks(), split at every t, so a slice with
+        a cell more than t * radius outside the start support raises
         InvariantViolation before it is yielded.
+        """
+        return _split_blocks(self.orbit_blocks(xi, steps))
+
+    def orbit_blocks(self, xi: PhaseVector, steps: int):
+        """Iterator over the orbit of orbit() in blocks of consecutive slices.
+
+        A block is (start, stop, t, cells, plus, minus): slices start to
+        stop - 1 as one row per support cell, sorted by t and then by cell,
+        with t an int64 array and cells, plus, minus as in orbit().  A slice
+        with no support has no rows.
+
+        Orbits step in blocks on coefficient windows (see _block_orbit) when
+        _orbit_recurrence allows it, and with apply() one slice per block
+        otherwise.  Every block is checked against the light cone of
+        radius(): a block whose slice t has a cell more than t * radius
+        outside the start support is cut before t, and InvariantViolation is
+        raised after the cut block is yielded.
         """
         if not isinstance(xi, PhaseVector):
             raise TypeError("orbit expects a phase vector")
         self.pp._require_same_ring(xi.plus)
         if steps < 0:
             raise ValueError("steps must be non-negative")
-        windows = self._orbit_windows(xi, steps)
-        if windows is None:
-            slices = self._apply_orbit(xi, steps)
+        recurrence = self._orbit_recurrence(xi, steps)
+        if recurrence is None:
+            blocks = self._apply_orbit(xi, steps)
         else:
-            slices = _window_orbit(xi, steps, *windows)
-        return _light_cone_checked(slices, xi.support(), self.radius())
+            blocks = _block_orbit(self, xi, steps, *recurrence)
+        return _light_cone_checked(blocks, xi.support(), self.radius())
 
-    def _orbit_windows(self, xi: PhaseVector, steps: int):
-        """(lowest exponent, entry windows) for window stepping, or None for apply().
+    def _orbit_recurrence(self, xi: PhaseVector, steps: int):
+        """(trace, det exponent, det coefficient, lo, hi) for _block_orbit, or None.
 
-        The window path needs d == 1, a nonzero start, no hollow entry or
-        start, and int64 sums.  The start is judged on the support of both
-        components together, which is the window _window_orbit lays out.
-        The four entries become int64 coefficient windows over their common
-        exponent range.
+        None sends the orbit to apply(): a zero start, a hollow start (both
+        components together: the first window) or hollow entries (all four
+        together: the growth per step), a determinant that is not a
+        monomial, int64 overflow in one step, or exponents near 2^62.  lo and
+        hi are the lowest and highest entry exponents per axis.
         """
-        if self.d != 1 or xi.is_zero():
+        if xi.is_zero():
             return None
-        start = xi.support()
-        if _is_hollow((start[-1] - start[0],), len(start)):
+        start = xi.plus.terms.keys() | xi.minus.terms.keys()
+        if _is_hollow(_spans(start), len(start)):
             return None
         entries = (self.pp, self.pm, self.mp, self.mm)
-        supports = [[e for (e,) in poly.terms] for poly in entries]
-        if any(es and _is_hollow((max(es) - min(es),), len(es)) for es in supports):
+        cells = [x for e in entries for x in e.terms]
+        if not cells or _is_hollow(_spans(cells), len(cells)):
             return None
-        exps = [e for es in supports for e in es]
-        if not exps:
+        det = self.det()
+        if len(det.terms) != 1:
             return None
-        lo, hi = min(exps), max(exps)
-        length = hi - lo + 1
-        # One step adds two convolutions, and each of their cells sums at
-        # most `length` products of coefficients below p.
-        if coefficient_dtype(self.p, 2 * length) is not np.int64:
+        trace = self.pp + self.mm
+        # A step sums len(trace) products of residues, plus c times a residue.
+        if coefficient_dtype(self.p, len(trace.terms) + 1) is not np.int64:
             return None
-        reach = max(-start[0], start[-1])
-        if reach + steps * max(-lo, hi) >= _DENSE_MAX_EXP:
+        cols = list(zip(*cells))
+        lo, hi = [min(c) for c in cols], [max(c) for c in cols]
+        reach = max(abs(v) for x in start for v in x)
+        if reach + (steps + 1) * max(map(abs, lo + hi)) >= _DENSE_MAX_EXP:
             return None
-        return lo, tuple(_coeff_window(e, (lo,), (1,), length) for e in entries)
+        ((e, c),) = det.terms.items()
+        return trace, e, c, lo, hi
 
     def _apply_orbit(self, xi: PhaseVector, steps: int):
-        """Slices of an orbit stepped with apply() on the sparse dicts."""
+        """Blocks of one slice each, of an orbit stepped with apply() on the sparse dicts."""
         d = self.d
         dtype = coefficient_dtype(self.p)
         for t in range(steps + 1):
@@ -199,6 +238,9 @@ class ScaMatrix:
                 cells = np.array(keys, dtype=object)
             cells = cells.reshape(len(keys), d)
             yield (
+                t,
+                t + 1,
+                np.full(len(keys), t, dtype=np.int64),
                 cells[:, 0] if d == 1 else cells,
                 np.array([plus.get(k, 0) for k in keys], dtype=dtype),
                 np.array([minus.get(k, 0) for k in keys], dtype=dtype),
@@ -308,67 +350,147 @@ class ScaMatrix:
 # -- orbits --------------------------------------------------------------------
 
 
-def _window_orbit(xi: PhaseVector, steps: int, lo: int, entries):
-    """Slices of a one-variable orbit stepped on int64 coefficient windows.
+# Orbit blocks: a block steps at most _BLOCK_STEPS times, and its steps times
+# the cells of its window stay within _BLOCK_CELLS where the support allows.
+# Both bound the memory of a block and the rows rendered at once.
+_BLOCK_STEPS = 128
+_BLOCK_CELLS = 1 << 14
 
-    The state is (offset, plus window, minus window), trimmed each step so
-    that a nonzero coefficient sits at both ends.  A step convolves the
-    windows with the entry windows, whose first cell is the exponent lo.
+
+def _spans(cells):
+    """Exponent range (max - min) per axis of a nonempty collection of exponent tuples."""
+    return [max(c) - min(c) for c in zip(*cells)]
+
+
+def _block_steps(width, growth) -> int:
+    """Steps of a block whose window is width cells per axis plus growth per step."""
+    b = _BLOCK_STEPS
+    while b > 1 and b * math.prod(w + b * g for w, g in zip(width, growth)) > _BLOCK_CELLS:
+        b //= 2
+    return b
+
+
+def _block_orbit(s, xi: PhaseVector, steps: int, trace, e, c, lo, hi):
+    """Blocks of an orbit stepped by x_{t+2} = tr(s) x_{t+1} - c u^e x_t.
+
+    Cayley-Hamilton gives s^2 = tr(s) s - det(s) I for any 2x2 matrix, and
+    det(s) = c u^e here.  One apply() step gives x_1.  The windows move with
+    the orbit: x_t is laid out as u^(-t lo) x_t, where a step convolves with
+    u^-lo tr(s) and subtracts c u^(e - 2 lo) x_t, both free of negative
+    exponents, so each state reaches at most hi - lo cells further up each
+    axis.  A block lays two consecutive states out on the box of their
+    support, widened by b (hi - lo), with both components on one flat
+    Kronecker layout (as in laurent._mul_dense).  A step is one np.convolve
+    of the trace window, plus (p - c) times the moved x_t, reduced mod p;
+    sums stay below (len(trace) + 1) p^2, inside int64.  The block yields
+    its first b states from one np.nonzero, and the next block starts from
+    the two after them.
     """
-    pp, pm, mp, mm = entries
-    p = xi.p
-    support = xi.support()
-    offset = support[0]
-    length = support[-1] - offset + 1
-    plus = _coeff_window(xi.plus, (offset,), (1,), length)
-    minus = _coeff_window(xi.minus, (offset,), (1,), length)
-    for t in range(steps + 1):
-        nz = np.flatnonzero(plus | minus)
-        if nz.size:
-            first = int(nz[0])
-            plus = plus[first : nz[-1] + 1]
-            minus = minus[first : nz[-1] + 1]
-            offset += first
-            nz -= first
-        yield nz + offset, plus[nz], minus[nz]
-        if t < steps and nz.size:
-            new_plus = np.convolve(plus, pp)
-            new_plus += np.convolve(minus, pm)
-            new_plus %= p
-            new_minus = np.convolve(plus, mp)
-            new_minus += np.convolve(minus, mm)
-            new_minus %= p
-            plus, minus = new_plus, new_minus
-            offset += lo
+    p, d = s.p, s.d
+    growth = [z - a for a, z in zip(lo, hi)]
+    neg_c = p - c
+    tr_exps = np.array(list(trace.terms), dtype=np.int64).reshape(len(trace.terms), d) - lo
+    tr_coeffs = np.fromiter(trace.terms.values(), np.int64, len(trace.terms))
+    det_exp = [x - 2 * a for x, a in zip(e, lo)]
+    # The first pair of states, on the bounding box of their support.
+    x1 = s.apply(xi)
+    back = tuple(-a for a in lo)
+    pair = [xi.plus, xi.minus, x1.plus.shifted(back), x1.minus.shifted(back)]
+    cols = list(zip(*(x for poly in pair for x in poly.terms)))
+    origin = [min(col) for col in cols]
+    width = [max(col) - o + 1 for col, o in zip(cols, origin)]
+    strides = _strides(width)
+    n = math.prod(width)
+    pair = np.stack([_coeff_window(poly, origin, strides, n) for poly in pair])
+    pair = pair.reshape((2, 2) + tuple(width))
+    t0 = 0
+    while t0 <= steps:
+        b = min(_block_steps(width, growth), steps + 1 - t0)
+        rows = b + 2 if t0 + b <= steps else max(b, 2)
+        shape = [w + (rows - 2) * g for w, g in zip(width, growth)]
+        strides = _strides(shape)
+        n = math.prod(shape)
+        states = np.zeros((rows, 2) + tuple(shape), dtype=np.int64)
+        states[(slice(0, 2), slice(None)) + tuple(slice(0, w) for w in width)] = pair
+        states = states.reshape(rows, 2 * n)
+        flat = tr_exps @ strides
+        window = np.zeros(int(flat.max(initial=0)) + 1, dtype=np.int64)
+        window[flat] = tr_coeffs
+        shift = sum(x * y for x, y in zip(det_exp, strides))  # below n: x_t is never zero
+        for k in range(2, rows):
+            row = states[k]
+            row[:] = np.convolve(states[k - 1], window)[: 2 * n]
+            row[shift:] += neg_c * states[k - 2, : 2 * n - shift]
+            row %= p
+        comps = states.reshape(rows, 2, n)
+        ti, fi = np.nonzero(comps[:b, 0] | comps[:b, 1])
+        t = ti + t0
+        if d == 1:
+            cells = fi + (origin[0] + t * lo[0])
+        else:
+            cells = np.stack(np.unravel_index(fi, shape), axis=1) + origin + np.outer(t, lo)
+        yield t0, t0 + b, t, cells, comps[ti, 0, fi], comps[ti, 1, fi]
+        t0 += b
+        if t0 > steps:
+            return
+        # s is invertible (det(s) is a unit), so the pair is never zero.
+        pair = states[b : b + 2].reshape((4,) + tuple(shape))
+        support = np.nonzero(pair.any(axis=0))
+        low = [int(a.min()) for a in support]
+        high = [int(a.max()) for a in support]
+        pair = pair[(slice(None),) + tuple(slice(a, z + 1) for a, z in zip(low, high))]
+        width = [z - a + 1 for a, z in zip(low, high)]
+        pair = pair.reshape((2, 2) + tuple(width))
+        origin = [o + a for o, a in zip(origin, low)]
 
 
-def _light_cone_checked(slices, start, radius: int):
-    """Pass slices through, checking that slice t lies within t * radius of start."""
+def _split_blocks(blocks):
+    """The slices (cells, plus, minus) of orbit blocks, one per t."""
+    for start, stop, t, cells, plus, minus in blocks:
+        bounds = np.searchsorted(t, np.arange(start, stop + 1)).tolist()
+        for i, j in zip(bounds, bounds[1:]):
+            yield cells[i:j], plus[i:j], minus[i:j]
+
+
+def _light_cone_checked(blocks, start, radius: int):
+    """Pass blocks through, checking that slice t lies within t * radius of start."""
     if not start:
-        yield from slices
+        yield from blocks
         return
-    # The bounds stay Python ints, so exponents beyond int64 compare exactly.
+    # The bounds are Python ints in object arrays, so the comparisons stay
+    # exact for exponents and reaches beyond int64.
     cols = [start] if isinstance(start[0], int) else list(zip(*start))
-    lo, hi = [min(c) for c in cols], [max(c) for c in cols]
-    for t, sl in enumerate(slices):
-        cells = sl[0]
-        if not len(cells):
-            yield sl
+    lo = np.array([min(c) for c in cols], dtype=object)
+    hi = np.array([max(c) for c in cols], dtype=object)
+    for block in blocks:
+        begin, stop, t, cells, plus, minus = block
+        if not len(t):
+            yield block
             continue
+        box = cells.reshape(len(t), len(lo))
+        firsts = np.flatnonzero(np.concatenate(([True], t[1:] != t[:-1])))
+        reach = (t[firsts].astype(object) * radius)[:, None]
+        low = np.minimum.reduceat(box, firsts) < lo - reach
+        high = np.maximum.reduceat(box, firsts) > hi + reach
+        broken = np.flatnonzero((low | high).any(axis=1))
+        if not broken.size:
+            yield block
+            continue
+        g = int(broken[0])
+        i, at = int(firsts[g]), int(t[firsts[g]])
+        j = int(firsts[g + 1]) if g + 1 < len(firsts) else len(t)
+        yield begin, at, t[:i], cells[:i], plus[:i], minus[:i]
         # Sorted one-variable cells can only leave the cone at either end.
-        box = (cells[[0, -1]] if cells.ndim == 1 else cells).reshape(-1, len(lo))
-        r = t * radius
-        low, high = box.min(axis=0).tolist(), box.max(axis=0).tolist()
-        if any(x < a - r for x, a in zip(low, lo)) or any(x > b + r for x, b in zip(high, hi)):
-            row = next(
-                c for c in box.tolist() if any(x < a - r or x > b + r for x, a, b in zip(c, lo, hi))
-            )
-            cell = row[0] if cells.ndim == 1 else row
-            raise InvariantViolation(
-                f"light cone broken at t = {t}: cell {cell} lies more than"
-                f" {t * radius} cells outside the start support"
-            )
-        yield sl
+        suspects = (cells[[i, j - 1]] if cells.ndim == 1 else cells[i:j]).reshape(-1, len(lo))
+        r = at * radius
+        row = next(
+            x for x in suspects.tolist() if any(v < a - r or v > z + r for v, a, z in zip(x, lo, hi))
+        )
+        cell = row[0] if cells.ndim == 1 else row
+        raise InvariantViolation(
+            f"light cone broken at t = {at}: cell {cell} lies more than"
+            f" {r} cells outside the start support"
+        )
 
 
 @dataclass(frozen=True)

@@ -33,6 +33,7 @@ from cqca import (
     upper_shear_g,
     validate_cocycle,
 )
+from cqca import sca
 from cqca.phasespace import coefficient_dtype
 
 
@@ -413,6 +414,22 @@ def test_apply_window_matches_apply(case):
     assert images.shape == (len(coeffs),) + tuple(n + 2 * r for n in coeffs.shape[1:-1]) + (2,)
     first = lo - r if s.d == 1 else tuple(x - r for x in lo)
     assert family_vectors(p, images, first) == [s.apply(xi) for xi in family_vectors(p, coeffs, lo)]
+
+
+def test_apply_window_reduces_per_term_below_2_31(monkeypatch):
+    # At p = 2^31 - 1 the unreduced sums of 28 terms leave int64, but one
+    # product does not: the images stay int64 and equal the object path's.
+    p = 2**31 - 1
+    full = LaurentPoly(p, 1, {e: p - 1 for e in range(-3, 4)})
+    s = ScaMatrix(full, full, full, full)
+    coeffs = np.full((3, 5, 2), p - 1, dtype=np.int64)
+    images = s.apply_window(coeffs)
+    assert images.dtype == np.int64
+    monkeypatch.setattr(sca, "coefficient_dtype", lambda p, products=0: object)
+    reference = s.apply_window(coeffs)
+    assert reference.dtype == object
+    assert images.tolist() == reference.tolist()
+    assert images.any()
 
 
 def test_evaluate_shrinks_wide_gaps():

@@ -272,6 +272,19 @@ def test_random_coefficients_draw_like_phasevector_random():
             assert family.ravel().tolist() == [rng.randrange(p) for _ in range(family.size)]
 
 
+def test_random_coefficients_bulk_draws_match_the_loop():
+    # Below 2^32 the words come in bulk; values and generator state must be
+    # those of one randrange(p) per coefficient.  4294967291 is the largest
+    # prime below 2^32; 2 and 2^31 - 1 reject close to half of their words.
+    for p in (2, 3, 5, 7, 2**31 - 1, 4294967291):
+        for seed, count, sites in ((0, 0, 3), (1, 1, 1), (2, 3, 5), (3, 40, 17)):
+            bulk, loop = random.Random(seed), random.Random(seed)
+            family = random_coefficients(bulk, p, count, sites)
+            assert family.dtype == np.int64 and family.shape == (count, sites, 2)
+            assert family.ravel().tolist() == [loop.randrange(p) for _ in range(family.size)]
+            assert bulk.getstate() == loop.getstate()
+
+
 def test_from_coefficients_places_the_box():
     coeffs = np.array([[[1, 0], [0, 2]], [[0, 0], [3, 4]]])
     xi = PhaseVector.from_coefficients(5, coeffs, (1, -1))

@@ -1,12 +1,16 @@
 """Tests for symplectic matrices: forms, classification, generators, recipe."""
 
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cqca import (
     FactorizationMismatch,
+    InvariantViolation,
     LaurentPoly,
     NotSymplectic,
     PhaseVector,
@@ -22,6 +26,7 @@ from cqca import (
     sigma,
     upper_shear_g,
 )
+from cqca import sca
 from cqca.factor import multiply_word, random_word
 from cqca.laurent import coefficient_dtype
 
@@ -82,7 +87,11 @@ def test_apply_local_rotates_components():
 
 
 def test_orbit_matches_apply_stepping():
-    """Every orbit slice equals the matching apply() iterate, on both stepping paths."""
+    """Every orbit slice equals the matching apply() iterate, on both stepping paths.
+
+    The last item of each case says whether the orbit steps in blocks by the
+    trace recurrence (True) or with apply() (False).
+    """
     rng = random.Random(88)
     cases = []  # (matrix, start, steps, steps on windows)
     for p in (2, 3, 5):
@@ -90,14 +99,23 @@ def test_orbit_matches_apply_stepping():
             s = multiply_word(random_word(p, rng.randint(1, 10), 3, seed=rng.random()))
             xi = PhaseVector.random(rng, p, range(-3, 4))
             cases.append((s, xi if not xi.is_zero() else PhaseVector.e_minus(p), 12, True))
-    # Every coefficient p - 1, at primes either side of 2^20.
+    # Coefficients p - 1, at primes either side of 2^20.  The matrix of four
+    # equal entries has determinant 0, not a monomial, so it steps with apply().
     for q in (1048573, 1048583):
         full = poly(q, {e: q - 1 for e in range(-3, 4)})
-        cases.append((ScaMatrix(full, full, full, full), PhaseVector(full, full), 6, True))
+        recipe = from_recipe(full, LaurentPoly.constant(q, 1, q - 1))
+        cases.append((recipe, PhaseVector(full, full), 6, True))
+        cases.append((ScaMatrix(full, full, full, full), PhaseVector(full, full), 6, False))
     cases.append((shear_g(3, 2, 1), PhaseVector.e_plus(3), 0, True))
-    # Dict path: window sums past int64, hollow entries, hollow start, zero start.
+    # The windows move with a shift, however far it goes in one step.
+    cases.append((shift(3, 1, 2**31), PhaseVector(poly(3, {0: 1, 1: 2}), poly(3, {5: 1})), 3, True))
+    # At p = 2^31 - 1 a one-term trace keeps a step's sums inside int64, and a
+    # longer one does not.
     big = 2147483647
-    cases.append((shear_g(big, 1, 5), PhaseVector(poly(big, {-5: 1, 7: 1}), poly(big, {0: 1})), 8, False))
+    start = PhaseVector(poly(big, {-5: 1, 7: 1}), poly(big, {0: 1}))
+    cases.append((shear_g(big, 1, 5), start, 8, True))
+    cases.append((shear_g(big, 1, 5) @ upper_shear_g(big, 1, 3), start, 8, False))
+    # Dict path: hollow entries, hollow start, zero start.
     cases.append((shear_g(5, 5**3, 2), PhaseVector(poly(5, {-5: 1, 7: 1}), poly(5, {0: 3})), 5, False))
     one2 = LaurentPoly.one(2, 1)
     unit = ScaMatrix(poly(2, {big: 1, 0: 1}), LaurentPoly.zero(2, 1), LaurentPoly.zero(2, 1), one2)
@@ -111,29 +129,161 @@ def test_orbit_matches_apply_stepping():
     f = poly(3, {(1, 0): 1, (-1, 0): 1, (0, 1): 2, (0, -1): 2}, d=2)
     s2 = from_recipe(f, LaurentPoly.constant(3, 2, 2))
     box = [(x, y) for x in range(-1, 2) for y in range(-1, 2)]
-    cases.append((s2, PhaseVector.random(rng, 3, box, d=2), 5, False))
+    cases.append((s2, PhaseVector.random(rng, 3, box, d=2), 5, True))
     cases.append((s2, PhaseVector.zero(3, 2), 2, False))
     # Coefficients whose sums can leave int64 (p >= 2^62) travel as Python ints.
     for huge in (4611686018427388039, 18446744073709551629):
         cases.append((shear_g(huge, 1, huge - 1), PhaseVector(poly(huge, {0: huge - 2}), poly(huge, {})), 4, False))
 
     for s, xi, steps, windowed in cases:
-        assert (s._orbit_windows(xi, steps) is not None) == windowed
-        slices = list(s.orbit(xi, steps))
-        assert len(slices) == steps + 1
-        eta = xi
-        for t, (cells, plus, minus) in enumerate(slices):
-            n = len(plus)
-            assert cells.shape == ((n,) if s.d == 1 else (n, s.d))
-            support = eta.support()
-            flat = support if s.d == 1 else [v for c in support for v in c]
-            assert cells.dtype == (np.int64 if all(-(2**63) <= v < 2**63 for v in flat) else object)
-            assert plus.dtype == minus.dtype == coefficient_dtype(s.p)
-            got = cells.tolist() if s.d == 1 else [tuple(c) for c in cells.tolist()]
-            assert got == support, (s, xi, t)
-            assert plus.tolist() == [eta.plus.coeff(x) for x in support]
-            assert minus.tolist() == [eta.minus.coeff(x) for x in support]
-            eta = s.apply(eta)
+        assert (s._orbit_recurrence(xi, steps) is not None) == windowed
+        assert_orbit_is_apply(s, xi, steps, s.radius())
+
+
+def cone_violation(support, start, t, radius, d):
+    """The light-cone message for slice t, or None: the reference of the orbit check.
+
+    One-variable slices report their lowest cell if it is outside the cone
+    and their highest one otherwise; others report their first cell outside.
+    """
+    if not start:
+        return None
+    rows = [(x,) for x in support] if d == 1 else support
+    cols = list(zip(*([(x,) for x in start] if d == 1 else start)))
+    lo, hi = [min(c) for c in cols], [max(c) for c in cols]
+    r = t * radius
+    outside = [x for x in rows if any(v < a - r or v > b + r for v, a, b in zip(x, lo, hi))]
+    if not outside:
+        return None
+    cell = (rows[0] if outside[0] == rows[0] else rows[-1])[0] if d == 1 else list(outside[0])
+    return f"light cone broken at t = {t}: cell {cell} lies more than {r} cells outside the start support"
+
+
+def assert_orbit_is_apply(s, xi, steps, radius):
+    """orbit() yields the apply() iterates, and stops where the cone of `radius` breaks."""
+    slices = s.orbit(xi, steps)
+    start, eta = xi.support(), xi
+    for t in range(steps + 1):
+        support = eta.support()
+        message = cone_violation(support, start, t, radius, s.d)
+        if message is not None:
+            with pytest.raises(InvariantViolation) as exc:
+                next(slices)
+            assert str(exc.value) == message
+            return
+        cells, plus, minus = next(slices)
+        n = len(plus)
+        assert cells.shape == ((n,) if s.d == 1 else (n, s.d))
+        flat = support if s.d == 1 else [v for c in support for v in c]
+        assert cells.dtype == (np.int64 if all(-(2**63) <= v < 2**63 for v in flat) else object)
+        assert plus.dtype == minus.dtype == coefficient_dtype(s.p)
+        got = cells.tolist() if s.d == 1 else [tuple(c) for c in cells.tolist()]
+        assert got == support, (s, xi, t)
+        assert plus.tolist() == [eta.plus.coeff(x) for x in support]
+        assert minus.tolist() == [eta.minus.coeff(x) for x in support]
+        eta = s.apply(eta)
+    assert next(slices, None) is None
+
+
+ORBIT_PRIMES = (2, 3, 5, 1048573, 2**31 - 1)
+
+
+@st.composite
+def orbit_cases(draw):
+    """(automaton, start, steps, block steps, block cells, radius the cone check uses)."""
+    d = draw(st.sampled_from((1, 2, 3)))
+    p = draw(st.sampled_from(ORBIT_PRIMES))
+    coeff = st.integers(1, p - 1)
+    kinds = ("word", "shift", "local", "shrink", "recipe") if d == 1 else ("shift", "recipe")
+    kind = draw(st.sampled_from(kinds))
+    unit = [tuple(int(i == j) for j in range(d)) for i in range(d)]
+    if kind == "word":
+        s = multiply_word(random_word(p, draw(st.integers(1, 6)), 2, seed=draw(st.integers(0, 99))))
+    elif kind == "shift":
+        a = tuple(draw(st.sampled_from((-3, -1, 0, 2, 1 << 20))) for _ in range(d))
+        s = shift(p, d, a[0] if d == 1 else a)
+    elif kind == "local":
+        s = local_f(p, draw(coeff))
+    elif kind == "shrink":
+        n, c = draw(st.integers(1, 3)), draw(coeff)
+        s = shear_g(p, n, c)
+        # s maps (1, -c(u^n + u^-n)) to (1, 0): the support shrinks, then grows back.
+        xi = PhaseVector(LaurentPoly.one(p, 1), LaurentPoly(p, 1, {n: -c, -n: -c}))
+    else:
+        axes = draw(st.lists(st.sampled_from(unit), min_size=1, max_size=d))
+        c = draw(coeff)
+        f = LaurentPoly(p, d, {e: c for x in axes for e in (x, tuple(-v for v in x))})
+        s = from_recipe(f, LaurentPoly.constant(p, d, draw(coeff)))
+        if draw(st.booleans()):
+            s = s.shifted(tuple(draw(st.integers(-2, 2)) for _ in range(d)))
+    if kind != "shrink":
+        # A start on a small box, far from the origin or near it.
+        offset = draw(st.sampled_from((0, 5, -1000, 10**6)))
+        width = draw(st.integers(1, 3 if d == 1 else 2))
+        cells = st.tuples(*[st.integers(offset, offset + width - 1)] * d)
+        plus = draw(st.dictionaries(cells, coeff, min_size=1, max_size=4))
+        minus = draw(st.dictionaries(cells, st.integers(0, p - 1), max_size=4))
+        xi = PhaseVector(LaurentPoly(p, d, plus), LaurentPoly(p, d, minus))
+    steps = draw(st.integers(0, (33, 9, 4)[d - 1]))
+    block_steps = draw(st.sampled_from((1, 2, 3, 4, 128)))
+    block_cells = draw(st.sampled_from((8, 64, 1 << 16)))
+    radius = s.radius() - draw(st.sampled_from((0, 0, 1, s.radius())))
+    return s, xi, steps, block_steps, block_cells, radius
+
+
+@settings(max_examples=120)
+@given(orbit_cases())
+def test_orbit_blocks_match_apply_iterates(case):
+    """Blocks of every length and window budget give the apply() iterates, and
+    a cone too narrow for the orbit stops it where the reference check does."""
+    s, xi, steps, block_steps, block_cells, radius = case
+    with (
+        mock.patch.object(sca, "_BLOCK_STEPS", block_steps),
+        mock.patch.object(sca, "_BLOCK_CELLS", block_cells),
+        mock.patch.object(ScaMatrix, "radius", lambda self: radius),
+    ):
+        assert_orbit_is_apply(s, xi, steps, radius)
+
+
+def test_light_cone_catches_a_wrong_radius_on_the_block_path():
+    # s x0 stays on the start cell and s^2 x0 does not: with radius 0 the
+    # cone breaks at t = 2, which only a window sized from the entries shows.
+    s = multiply_word(random_word(3, 3, 1, 7))
+    xi = PhaseVector.e_plus(3)
+    assert s._orbit_recurrence(xi, 200) is not None
+    assert s.apply(xi).support() == [0] and s.apply(s.apply(xi)).support() != [0]
+    with mock.patch.object(ScaMatrix, "radius", lambda self: 0):
+        assert_orbit_is_apply(s, xi, 200, 0)
+        with pytest.raises(InvariantViolation, match="at t = 2: cell -1 "):
+            list(s.orbit_blocks(xi, 200))
+
+
+def test_orbit_blocks_cover_the_slices_in_order():
+    s = multiply_word(random_word(3, 5, 2, seed=4))
+    xi = PhaseVector(poly(3, {0: 1, 1: 2}), poly(3, {-1: 1}))
+    with mock.patch.object(sca, "_BLOCK_STEPS", 4):
+        blocks = list(s.orbit_blocks(xi, 9))
+    assert [(start, stop) for start, stop, *_ in blocks] == [(0, 4), (4, 8), (8, 10)]
+    for start, stop, t, cells, plus, minus in blocks:
+        assert t.dtype == np.int64 and len(t) == len(cells) == len(plus) == len(minus)
+        assert start <= t.min() and t.max() < stop
+        assert all(np.diff(t) >= 0)
+        assert all((plus != 0) | (minus != 0))
+
+
+def test_cayley_hamilton_identity():
+    """s @ s == tr(s) s - det(s) I: the recurrence block stepping relies on."""
+    rng = random.Random(5)
+    cases = [multiply_word(random_word(p, rng.randint(0, 12), 3, seed=rng.random())) for p in (2, 3, 5, 7, 1048573)]
+    cases += [rand_matrix(rng, p) for p in (2, 3, 5) for _ in range(3)]
+    for p in (2, 3, 5):
+        for _ in range(3):
+            f = rand_poly(rng, p, d=2)
+            f = palindromize(f) if not f.is_zero() else LaurentPoly.one(p, 2)
+            cases.append(from_recipe(f, palindromize(rand_poly(rng, p, d=2))).shifted((1, -2)))
+    for s in cases:
+        tr, det = s.pp + s.mm, s.det()
+        assert s @ s == ScaMatrix(tr * s.pp - det, tr * s.pm, tr * s.mp, tr * s.mm - det)
 
 
 # -- compose / det / inverse -------------------------------------------------------
