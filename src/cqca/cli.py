@@ -222,6 +222,12 @@ def cmd_factor(args) -> int:
     s = load_matrix(args.matrix, args.p, args.d)
     word = factor_mod.factorize(s)
     remultiplied = factor_mod.multiply_word(word)
+    for name in ("pp", "pm", "mp", "mm"):
+        got, want = getattr(remultiplied, name), getattr(s, name)
+        if got != want:
+            raise sca.InvariantViolation(
+                f"the factored word multiplies back to {name} = {got}, not the input's {want}"
+            )
     _print_json(
         {
             "word": factor_mod.word_to_json_list(word),

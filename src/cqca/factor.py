@@ -11,6 +11,14 @@ triangular matrix ((c, b), (0, c^-1)) is finished as Local(c) * Local(-1)
 followed by the symmetric-basis expansion of b/c in upper-shear letters.
 
 Words multiply back exactly: multiply_word(factorize(s)) == s.
+
+Both directions run on coefficient windows (see laurent): the Euclidean
+loop keeps the four core entries as centred windows, divides them with
+laurent's window division and multiplies with one np.convolve, and
+multiply_word applies each letter as slice updates of four windows.  The
+loops over LaurentPoly terms remain for hollow supports (laurent._is_hollow),
+whose windows would cost cells rather than terms: shear_g(3, 2^31 - 1)
+would need a window of 2^32 cells.
 """
 
 from __future__ import annotations
@@ -18,9 +26,24 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import sca
 from .ffield import check_prime, inv_mod
-from .laurent import LaurentPoly, palindrome_coeffs, palindrome_divmod
+from .laurent import (
+    LaurentPoly,
+    _centred_hollow,
+    _centred_poly,
+    _centred_sub,
+    _centred_window,
+    _convolve_mod,
+    _divmod_windows,
+    _is_hollow,
+    _window_poly,
+    coefficient_dtype,
+    palindrome_coeffs,
+    palindrome_divmod,
+)
 
 __all__ = [
     "NotOneDimensional",
@@ -113,8 +136,47 @@ def multiply_word(word: GeneratorWord) -> sca.ScaMatrix:
     column operations their matrices define: a Shear g adds g * col_minus to
     col_plus, an UpperShear g adds g * col_plus to col_minus, Local(k) maps
     (a, b, c, d) to (-k^-1 b, k a, -k^-1 d, k c), and a Shift moves all four
-    entries.  g, k and -k^-1 are read off letter_matrix.
+    entries.  The entries stay within exponents +-(sum of the shear indices)
+    of the shift, and that box, with one term per letter, decides between
+    windows and the term loop (_is_hollow).
     """
+    reach = sum(let.n for let in word.letters if isinstance(let, (Shear, UpperShear)))
+    if _is_hollow([2 * reach], len(word.letters)):
+        return _multiply_word_terms(word)
+    return _multiply_word_windows(word, reach)
+
+
+def _multiply_word_windows(word: GeneratorWord, reach: int) -> sca.ScaMatrix:
+    """multiply_word on windows of exponents -reach .. reach around the shift."""
+    p = word.p
+    dtype = coefficient_dtype(p, 1)  # a cell takes one product before each reduction
+    # Rows (a, c) of column plus and (b, d) of column minus; cell reach is u^0.
+    plus = np.zeros((2, 2 * reach + 1), dtype)
+    minus = np.zeros_like(plus)
+    plus[0, reach] = minus[1, reach] = 1
+    shift = r = 0  # the entries are u^shift times exponents -r .. r
+    for letter in word.letters:
+        if isinstance(letter, Shift):
+            shift += letter.a
+        elif isinstance(letter, Local):
+            k = letter.c % p
+            plus, minus = minus * (-inv_mod(k, p) % p) % p, plus * k % p
+        else:
+            n = letter.n
+            src, dst = (minus, plus) if isinstance(letter, Shear) else (plus, minus)
+            g = src[:, reach - r : reach + r + 1] * (letter.c % p) % p
+            dst[:, reach - r + n : reach + r + n + 1] += g
+            if n:
+                dst[:, reach - r - n : reach + r - n + 1] += g
+            r += n
+            dst[:, reach - r : reach + r + 1] %= p
+    live = slice(reach - r, reach + r + 1)
+    (a, c), (b, d) = ([_window_poly(w, p, shift - r) for w in col[:, live]] for col in (plus, minus))
+    return sca.ScaMatrix(a, b, c, d)
+
+
+def _multiply_word_terms(word: GeneratorWord) -> sca.ScaMatrix:
+    """multiply_word on LaurentPoly entries, g, k and -k^-1 read off letter_matrix."""
     p = word.p
     one, zero = LaurentPoly.one(p, 1), LaurentPoly.zero(p, 1)
     a, b, c, d = one, zero, zero, one
@@ -153,21 +215,10 @@ def factorize(s: sca.ScaMatrix, step_hook=None) -> GeneratorWord:
     a = cert.shift[0]
     if a:
         letters.append(Shift(a))
-    upper_l, upper_r = cert.core.pp, cert.core.pm
-    lower_l, lower_r = cert.core.mp, cert.core.mm
-    while not lower_l.is_zero():
-        if upper_l.is_zero() or lower_l.degree() < upper_l.degree():
-            # Row swap through a Local letter: f_1^-1 * rows = ((-C, -D), (A, B)).
-            letters.append(Local(1))
-            upper_l, upper_r, lower_l, lower_r = -lower_l, -lower_r, upper_l, upper_r
-            if lower_l.is_zero():
-                break
-        if step_hook is not None:
-            step_hook(upper_l.degree(), lower_l.degree())
-        q, r = palindrome_divmod(lower_l, upper_l)
-        _emit_shears(q, letters, Shear)
-        lower_l = r
-        lower_r = lower_r - q * upper_r
+    core = cert.core
+    entries = (core.pp, core.pm, core.mp, core.mm)
+    euclid = _euclid_terms if any(map(_centred_hollow, entries)) else _euclid_windows
+    upper_l, upper_r = euclid(entries, letters, step_hook)
     # Triangular tail ((c, b), (0, c^-1)); the unit c must be a constant.
     if not upper_l.is_constant() or upper_l.is_zero():
         raise sca.InvariantViolation(f"Euclidean tail left a non-constant unit {upper_l}")
@@ -178,6 +229,50 @@ def factorize(s: sca.ScaMatrix, step_hook=None) -> GeneratorWord:
     b_over_c = upper_r * inv_mod(c, p)
     _emit_shears(b_over_c, letters, UpperShear)
     return GeneratorWord(p, tuple(letters))
+
+
+def _euclid_windows(entries, letters: list, step_hook):
+    """The Euclidean loop of factorize on centred windows; returns the top row.
+
+    Appends the Local(1) and Shear letters to letters and returns the final
+    upper-left and upper-right entries as polynomials.
+    """
+    p = entries[0].p
+    dtype = coefficient_dtype(p, 1)
+    upper_l, upper_r, lower_l, lower_r = (_centred_window(e, dtype) for e in entries)
+    while len(lower_l):
+        if not len(upper_l) or len(lower_l) < len(upper_l):
+            # Row swap through a Local letter: f_1^-1 * rows = ((-C, -D), (A, B)).
+            letters.append(Local(1))
+            upper_l, upper_r, lower_l, lower_r = -lower_l % p, -lower_r % p, upper_l, upper_r
+            if not len(lower_l):
+                break
+        if step_hook is not None:
+            step_hook(len(upper_l) // 2, len(lower_l) // 2)
+        q, lower_l = _divmod_windows(lower_l, upper_l, p)
+        # The quotient's symmetric-basis coefficients, largest n first.
+        mid = len(q) // 2
+        letters += [Shear(n, int(q[mid + n])) for n in q[mid:].nonzero()[0][::-1].tolist()]
+        lower_r = _centred_sub(lower_r, _convolve_mod(q, upper_r, p), p)
+    return _centred_poly(upper_l, p), _centred_poly(upper_r, p)
+
+
+def _euclid_terms(entries, letters: list, step_hook):
+    """_euclid_windows on LaurentPoly entries: the path of hollow supports."""
+    upper_l, upper_r, lower_l, lower_r = entries
+    while not lower_l.is_zero():
+        if upper_l.is_zero() or lower_l.degree() < upper_l.degree():
+            letters.append(Local(1))
+            upper_l, upper_r, lower_l, lower_r = -lower_l, -lower_r, upper_l, upper_r
+            if lower_l.is_zero():
+                break
+        if step_hook is not None:
+            step_hook(upper_l.degree(), lower_l.degree())
+        q, r = palindrome_divmod(lower_l, upper_l)
+        _emit_shears(q, letters, Shear)
+        lower_l = r
+        lower_r = lower_r - q * upper_r
+    return upper_l, upper_r
 
 
 def random_word(p, length, max_n, seed) -> GeneratorWord:

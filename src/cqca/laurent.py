@@ -16,6 +16,13 @@ convolution and a sparse dict walk; all give identical canonical results.
 The dense path is one np.convolve for every d (Kronecker substitution) and
 is just faster for the contiguous supports that dominate here, at every p.
 Every layer lays windows out with _coeff_window, in coefficient_dtype.
+
+Palindrome division runs on centred windows (exponents -deg .. deg, see
+_centred_window): each round is two shifted slice updates of the divisor
+and one reduction, and a palindrome check compares a window with its
+reverse.  The Euclidean factorization keeps its matrix entries in the same
+layout.  Hollow supports (_is_hollow) stay on the dict loop: a window costs
+cells, not terms, and u^(2^31 - 1) + u^-(2^31 - 1) would need 2^32 cells.
 """
 
 from __future__ import annotations
@@ -73,6 +80,11 @@ def _strides(shape):
     return strides
 
 
+def _centred_hollow(poly) -> bool:
+    """_is_hollow for the centred window of a one-variable polynomial; never for zero."""
+    return bool(poly.terms) and _is_hollow([2 * poly.degree()], len(poly.terms))
+
+
 def _coeff_window(poly, lo, strides, length, dtype=np.int64):
     """The coefficients of poly on a flat window, exponent e at offset (e - lo) @ strides."""
     window = np.zeros(length, dtype=dtype)
@@ -81,6 +93,55 @@ def _coeff_window(poly, lo, strides, length, dtype=np.int64):
     offsets = exps - lo[0] if d == 1 else (exps.reshape(n, d) - lo) @ strides
     window[offsets] = np.fromiter(poly.terms.values(), dtype, n)
     return window
+
+
+def _centred_window(poly, dtype):
+    """A one-variable polynomial on exponents -deg .. deg; empty for zero."""
+    if not poly.terms:
+        return np.zeros(0, dtype)
+    r = poly.degree()
+    return _coeff_window(poly, [-r], None, 2 * r + 1, dtype)
+
+
+def _window_poly(window, p, lo) -> LaurentPoly:
+    """The one-variable polynomial with coefficient window[i] at exponent lo + i."""
+    nz = window.nonzero()[0]
+    exps = [(i + lo,) for i in nz.tolist()]  # Python ints: lo may lie past int64
+    return LaurentPoly._raw(p, 1, dict(zip(exps, window[nz].tolist())))
+
+
+def _centred_poly(window, p) -> LaurentPoly:
+    """The one-variable polynomial of a centred window."""
+    return _window_poly(window, p, -(len(window) // 2))
+
+
+def _trim(window):
+    """A centred window cut to the degree of its polynomial; empty for zero."""
+    nz = window.nonzero()[0]
+    if not len(nz):
+        return window[:0]
+    k = min(nz[0], len(window) - 1 - nz[-1])
+    return window[k : len(window) - k]
+
+
+def _centred_sub(a, b, p):
+    """a - b on centred windows."""
+    out = np.zeros(max(len(a), len(b)), a.dtype)
+    i, j = (len(out) - len(a)) // 2, (len(out) - len(b)) // 2
+    out[i : i + len(a)] = a
+    out[j : j + len(b)] -= b
+    out %= p
+    return _trim(out)
+
+
+def _convolve_mod(a, b, p):
+    """a * b on centred windows, summed in coefficient_dtype and kept in a's dtype."""
+    if not len(a) or not len(b):
+        return a[:0]
+    dtype = coefficient_dtype(p, min(len(a), len(b)))
+    out = np.convolve(a.astype(dtype, copy=False), b.astype(dtype, copy=False))
+    out %= p
+    return out.astype(a.dtype, copy=False)
 
 
 def _check_ring(p, d):
@@ -422,13 +483,57 @@ def palindrome_divmod(f: LaurentPoly, h: LaurentPoly):
     Works in the symmetric basis: each round subtracts
     (lead(f)/lead(h)) * b_{deg f - deg h} * h, which kills the top (and, by
     symmetry, the bottom) coefficient, so the degree strictly decreases.
-    Quotient and remainder are palindromes again.
+    Quotient and remainder are palindromes again.  Hollow operands take the
+    dict loop, all others centred windows.
     """
     f._require_same_ring(h)
     if f.d != 1:
         raise ValueError("palindrome division is one-dimensional")
     if h.is_zero():
         raise ZeroDivisionError("palindrome division by zero")
+    if _centred_hollow(f) or _centred_hollow(h):
+        return _palindrome_divmod_terms(f, h)
+    p = f.p
+    dtype = coefficient_dtype(p, 1)
+    q, r = _divmod_windows(_centred_window(f, dtype), _centred_window(h, dtype), p)
+    return _centred_poly(q, p), _centred_poly(r, p)
+
+
+def _divmod_windows(f, h, p):
+    """palindrome_divmod on centred windows (h nonzero): the windows of q and r.
+
+    The windows hold residues in coefficient_dtype(p, 1): each update adds
+    one product c * h, reduced, to a residue.
+    """
+    if not (f == f[::-1]).all():
+        raise ValueError(f"dividend is not a palindrome: {_centred_poly(f, p)}")
+    if not (h == h[::-1]).all():
+        raise ValueError(f"divisor is not a palindrome: {_centred_poly(h, p)}")
+    df, dh = len(f) // 2, len(h) // 2
+    if len(f) < len(h):
+        return f[:0], f
+    lead_inv = inv_mod(int(h[-1]), p)
+    q = np.zeros(2 * (df - dh) + 1, f.dtype)
+    r = f.copy()
+    dr = df  # -1 once r is zero, which ends the loop
+    while dr >= dh:
+        k = dr - dh
+        c = int(r[df + dr]) * lead_inv % p
+        ch = h * c % p
+        # c * b_k * h: h moved up by k, and down by k when k > 0.
+        r[df + k - dh : df + dr + 1] -= ch
+        q[df - dh + k] = c
+        if k:
+            r[df - dr : df - k + dh + 1] -= ch
+            q[df - dh - k] = c
+        r[df - dr : df + dr + 1] %= p
+        top = r[df : df + dr].nonzero()[0]
+        dr = int(top[-1]) if len(top) else -1
+    return q, _trim(r)
+
+
+def _palindrome_divmod_terms(f: LaurentPoly, h: LaurentPoly):
+    """palindrome_divmod on the term dicts: the path of hollow operands."""
     if not f.is_palindrome():
         raise ValueError(f"dividend is not a palindrome: {f}")
     if not h.is_palindrome():

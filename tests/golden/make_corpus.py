@@ -162,7 +162,136 @@ def evolve_commands() -> list:
     return commands
 
 
-BUILDERS = {"evolve": evolve_commands}
+# -- word verbs --------------------------------------------------------------------
+
+# Primes of the word-verb corpora: the evolve primes up to 10^18 + 3.
+WORD_PRIMES = PRIMES[:-1]
+# Word lengths; those of 4 and 16 letters also come with one hollow shear letter.
+WORD_LENGTHS = (0, 1, 4, 16, 48, 128)
+HOLLOW_WORD_LENGTHS = (4, 16)
+# Far corners of the exponent range the parser accepts (+-2^31).
+FAR = 2**31 - 1
+NOT_SYMPLECTIC = {"p": 3, "d": 1, "entries": [["1", "u"], ["0", "1"]]}
+ZERO = {"p": 3, "d": 1, "entries": [["0", "0"], ["0", "0"]]}
+
+
+def _hollow_index(p: int) -> int:
+    """Shear index of a hollow letter: the largest p^k up to 2^20, or 2^20 past it."""
+    if p > 1 << 20:
+        return 1 << 20
+    n = p
+    while n * p <= 1 << 20:
+        n *= p
+    return n
+
+
+def _word_matrices():
+    """(name, matrix) of random words at every corpus prime, hollow ones included."""
+    from cqca import GeneratorWord, Shear, UpperShear, multiply_word, random_word
+
+    out = []
+    for i, p in enumerate(WORD_PRIMES):
+        for length in WORD_LENGTHS:
+            seed = 1000 * i + length
+            out.append((f"p{p}-len{length}", multiply_word(random_word(p, length, 3, seed))))
+            if length in HOLLOW_WORD_LENGTHS:
+                letters = list(random_word(p, length, 3, seed + 1).letters)
+                shears = [k for k, let in enumerate(letters) if isinstance(let, (Shear, UpperShear))]
+                k = shears[len(shears) // 2]
+                letters[k] = type(letters[k])(_hollow_index(p), letters[k].c)
+                word = GeneratorWord(p, tuple(letters))
+                out.append((f"p{p}-len{length}-hollow", multiply_word(word)))
+    return out
+
+
+def _edge_matrices():
+    """(name, matrix) of the inputs that take the hollow paths at the parser's limit."""
+    from cqca import LaurentPoly, from_recipe, shear_g, shift, upper_shear_g
+
+    f2 = LaurentPoly(3, 2, {(1, 0): 1, (-1, 0): 1, (0, 1): 2, (0, -1): 2})
+    return [
+        ("shear-far-p3", shear_g(3, FAR, 2)),
+        ("upper-shear-far-p3", upper_shear_g(3, FAR, 1)),
+        ("shift-far-p3", shift(3, 1, FAR)),
+        ("shift-far-left-p2", shift(2, 1, -FAR)),
+        ("shear-far-big-p", shear_g(10**18 + 3, FAR, 10**18)),
+        ("recipe-d2-p3", from_recipe(f2, LaurentPoly.constant(3, 2, 2))),
+    ]
+
+
+def _sample() -> dict:
+    """The matrix of the flag and ring rejections: a 16-letter word at p = 3."""
+    return dict(_word_matrices())["p3-len16"].to_json_dict()
+
+
+def _unary_commands(verb: str) -> list:
+    """Commands of a verb that reads one matrix: words, edges, rejections."""
+    commands = []
+
+    def add(name, obj, *args):
+        commands.append({"id": f"{verb}-{name}", "argv": [verb, "{m}", *args], "files": {"m": obj}})
+
+    for name, matrix in _word_matrices() + _edge_matrices():
+        add(name, matrix.to_json_dict())
+    sample = _sample()
+    add("not-symplectic", NOT_SYMPLECTIC)
+    add("zero", ZERO)
+    add("wrong-p", sample, "--p", "5")
+    add("wrong-d", sample, "--d", "2")
+    add("flags-agree", sample, "--p", str(sample["p"]), "--d", "1")
+    add("bad-poly", {"p": 3, "d": 1, "entries": [["1 +", "0"], ["0", "1"]]})
+    return commands
+
+
+def verify_commands() -> list:
+    return _unary_commands("verify")
+
+
+def classify_commands() -> list:
+    return _unary_commands("classify")
+
+
+def invert_commands() -> list:
+    return _unary_commands("invert")
+
+
+def factor_commands() -> list:
+    return _unary_commands("factor")
+
+
+def compose_commands() -> list:
+    from cqca import multiply_word, random_word
+
+    commands = []
+
+    def add(name, left, right, *args):
+        argv = ["compose", "{l}", "{r}", *args]
+        commands.append({"id": f"compose-{name}", "argv": argv, "files": {"l": left, "r": right}})
+
+    words = _word_matrices()
+    for k, (name, matrix) in enumerate(words):
+        p = matrix.p
+        right = multiply_word(random_word(p, 6, 3, 500 + k))
+        add(name, matrix.to_json_dict(), right.to_json_dict())
+    for name, matrix in _edge_matrices():
+        add(name, matrix.to_json_dict(), matrix.inverse().to_json_dict())
+    sample = _sample()
+    add("not-symplectic", NOT_SYMPLECTIC, NOT_SYMPLECTIC)
+    add("zero", ZERO, sample)
+    add("mixed-rings", sample, dict(words)["p5-len16"].to_json_dict())
+    add("wrong-p", sample, sample, "--p", "5")
+    add("wrong-d", sample, sample, "--d", "2")
+    return commands
+
+
+BUILDERS = {
+    "evolve": evolve_commands,
+    "verify": verify_commands,
+    "classify": classify_commands,
+    "invert": invert_commands,
+    "factor": factor_commands,
+    "compose": compose_commands,
+}
 
 
 def main(verbs) -> None:

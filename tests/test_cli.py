@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cqca import (
+    GeneratorWord,
     LaurentPoly,
     PhaseFunction,
     ScaMatrix,
@@ -406,6 +407,19 @@ def test_factor_rejects_non_symplectic(tmp_path, capsys):
     path.write_text(json.dumps(bad))
     code, _, err = run(capsys, ["factor", str(path)])
     assert code == 1
+
+
+def test_factor_checks_its_word(tmp_path, capsys, monkeypatch):
+    """A word that does not multiply back to the input is an invariant violation."""
+    from cqca import factor
+
+    s = shift(3, 1, 1) @ shear_g(3, 2, 1) @ local_f(3, 2)
+    path = write_matrix(tmp_path, s)
+    factorize = factor.factorize
+    monkeypatch.setattr(factor, "factorize", lambda m: GeneratorWord(m.p, factorize(m).letters[:-1]))
+    code, out, err = run(capsys, ["factor", path])
+    assert (code, out) == (1, "")
+    assert err == "error: the factored word multiplies back to mm = 0, not the input's 2u^-1 + 2u^3\n"
 
 
 # -- recipe ---------------------------------------------------------------------------

@@ -33,10 +33,21 @@ from cqca import (
     word_from_json_list,
     word_to_json_list,
 )
+from cqca import factor, laurent
 
 
 def poly(p, terms):
     return LaurentPoly(p, 1, terms)
+
+
+def counted(fn, name, calls):
+    """fn, appending name to calls on every call."""
+
+    def wrapper(*args):
+        calls.append(name)
+        return fn(*args)
+
+    return wrapper
 
 
 # -- words and letters --------------------------------------------------------
@@ -52,6 +63,8 @@ def test_letter_matrix_mapping():
 def test_multiply_word_examples():
     assert multiply_word(GeneratorWord(2, ())) == identity(2)
     assert multiply_word(GeneratorWord(3, (Shift(1),))) == shift(3, 1, 1)
+    far = GeneratorWord(3, (Shift(2**70), Shear(1, 2)))  # exponents past int64
+    assert multiply_word(far) == fold_reference(far)
     m = multiply_word(GeneratorWord(2, (Local(1), Shear(1, 1))))
     assert m == ScaMatrix(
         poly(2, {1: 1, -1: 1}),
@@ -85,9 +98,71 @@ def generator_words(draw):
     return GeneratorWord(p, tuple(letters))
 
 
+def reach(word):
+    """Sum of the shear indices: the half-width of the word product's windows."""
+    return sum(let.n for let in word.letters if isinstance(let, (Shear, UpperShear)))
+
+
+# Words whose windows stay this small are also multiplied and factored on
+# windows, whichever path their hollowness selects.
+WINDOW_REACH = 1 << 12
+
+
 @given(generator_words())
 def test_multiply_word_matches_the_letter_matrix_fold(word):
-    assert multiply_word(word) == fold_reference(word)
+    want = fold_reference(word)
+    assert multiply_word(word) == want
+    if reach(word) <= WINDOW_REACH:
+        assert factor._multiply_word_windows(word, reach(word)) == want
+
+
+def factorize_on(s, loop):
+    """factorize(s) with loop as its Euclidean loop: the word and the step_hook degrees."""
+    steps = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(factor, "_euclid_windows", loop)
+        patch.setattr(factor, "_euclid_terms", loop)
+        word = factorize(s, step_hook=lambda *degrees: steps.append(degrees))
+    return word, steps
+
+
+@given(generator_words())
+def test_window_euclid_matches_the_term_loop(word):
+    s = multiply_word(word)
+    want = factorize_on(s, factor._euclid_terms)
+    assert multiply_word(want[0]) == s
+    if reach(word) <= WINDOW_REACH:
+        assert factorize_on(s, factor._euclid_windows) == want
+
+
+def test_unhollow_words_never_reach_a_term_loop(monkeypatch):
+    """128-letter words multiply and factor on windows, at p = 3 and past int64 sums."""
+
+    def no_term_loop(*args):
+        raise AssertionError("a word that is not hollow reached a term loop")
+
+    for owner, name in ((factor, "_euclid_terms"), (factor, "_multiply_word_terms"), (laurent, "_palindrome_divmod_terms")):
+        monkeypatch.setattr(owner, name, no_term_loop)
+    for p, seed in ((3, 91), (2**61 - 1, 92)):
+        word = random_word(p, 128, 3, seed)
+        s = multiply_word(word)
+        assert s == fold_reference(word)
+        steps = []
+        recovered = factorize(s, step_hook=lambda *degrees: steps.append(degrees))
+        assert multiply_word(recovered) == s
+        assert len(steps) > 20
+
+
+def test_far_shear_takes_the_term_loops(monkeypatch):
+    """shear_g(3, 2^31 - 1) would need 2^32-cell windows; it stays on the term loops."""
+    calls = []
+    for name in ("_euclid_terms", "_multiply_word_terms", "_euclid_windows", "_multiply_word_windows"):
+        monkeypatch.setattr(factor, name, counted(getattr(factor, name), name, calls))
+    s = shear_g(3, 2**31 - 1)
+    word = factorize(s)
+    assert word.letters == (Shear(2**31 - 1, 1),)
+    assert multiply_word(word) == s
+    assert calls == ["_euclid_terms", "_multiply_word_terms"]
 
 
 def test_word_invariants_enforced():

@@ -25,8 +25,14 @@ COMMANDS = [
 ]
 
 
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    """One directory for every command: run_command rewrites its inputs and removes its output."""
+    return str(tmp_path_factory.mktemp("golden"))
+
+
 @pytest.mark.parametrize("command", COMMANDS, ids=[c["id"] for c in COMMANDS])
-def test_golden_command(command, tmp_path):
-    got = make_corpus.run_command(command, str(tmp_path))
+def test_golden_command(command, workdir):
+    got = make_corpus.run_command(command, workdir)
     want = {key: command[key] for key in ("sha256", "exit", "stderr_last")}
     assert got == want

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from cqca import (
     palindrome_divmod,
     palindromize,
 )
+from cqca import laurent
 from cqca.laurent import NEG_INF, coefficient_dtype
 
 
@@ -48,6 +50,16 @@ def box_poly(rng, p, spans, lo, coeff=None):
     for e in itertools.product(*(range(a, a + s + 1) for a, s in zip(lo, spans))):
         terms[e] = coeff if coeff is not None else rng.randint(1, p - 1)
     return LaurentPoly(p, len(spans), terms)
+
+
+def counted(fn, name, counts):
+    """fn, counting its calls in counts[name]."""
+
+    def wrapper(*args):
+        counts[name] += 1
+        return fn(*args)
+
+    return wrapper
 
 
 def rand_palindrome(rng, p, half_span):
@@ -465,32 +477,49 @@ def test_mul_matches_sympy():
             assert to_sympy(f * g, gens, lo) == expected, f"({f}) * ({g}) mod {p}"
 
 
+_DICKSON = {}  # p -> coefficient lists of D_0, D_1, ..., lowest degree first
+
+
 def to_x(f, x):
-    """A palindrome as the polynomial in x = u + u^-1 it equals, via Dickson D_k."""
+    """A palindrome as the polynomial in x = u + u^-1 it equals, via Dickson D_k.
+
+    D_0 = 2, D_1 = x and D_k = x D_(k-1) - D_(k-2), since u^k + u^-k
+    = (u + u^-1)(u^(k-1) + u^-(k-1)) - (u^(k-2) + u^-(k-2)).
+    """
     import sympy
 
-    dickson = [sympy.Poly(2, x, modulus=f.p), sympy.Poly(x, x, modulus=f.p)]
+    p = f.p
+    dickson = _DICKSON.setdefault(p, [[2], [0, 1]])
     top = max((e for (e,) in f.terms), default=0)
     while len(dickson) <= top:
-        dickson.append(dickson[1] * dickson[-1] - dickson[-2])
-    out = sympy.Poly(f.coeff(0), x, modulus=f.p)
-    for k in range(1, top + 1):
-        out += dickson[k] * f.coeff(k)
-    return out
+        shifted, prev = [0] + dickson[-1], dickson[-2] + [0, 0]
+        dickson.append([(a - b) % p for a, b in zip(shifted, prev)])
+    out = [0] * (top + 1)
+    out[0] = f.coeff(0)
+    for (k,), c in f.terms.items():
+        if k > 0:
+            for i, a in enumerate(dickson[k]):
+                out[i] += c * a
+    return sympy.Poly(out[::-1], x, modulus=p)
 
 
-def test_palindrome_divmod_matches_sympy():
+def test_palindrome_divmod_matches_sympy(monkeypatch):
+    """Both division paths agree with sympy: windows, and the term loop of hollow operands."""
     sympy = pytest.importorskip("sympy")
+    paths = Counter()
+    for name in ("_divmod_windows", "_palindrome_divmod_terms"):
+        monkeypatch.setattr(laurent, name, counted(getattr(laurent, name), name, paths))
     x = sympy.Symbol("x")
     rng = random.Random(573)
     done = 0
     while done < 200:
         p = rng.choice(DIFF_PRIMES)
-        f = rand_palindrome(rng, p, rng.choice([3, 8, 24]))
-        h = rand_palindrome(rng, p, rng.choice([2, 6, 12]))
+        f = rand_palindrome(rng, p, rng.choice([3, 8, 24, 120]))  # 120: often hollow
+        h = rand_palindrome(rng, p, rng.choice([2, 6, 12, 60]))
         if h.is_zero():
             continue
         q, r = palindrome_divmod(f, h)
         gq, gr = sympy.div(to_x(f, x), to_x(h, x))
         assert (to_x(q, x), to_x(r, x)) == (gq, gr), f"({f}) / ({h}) mod {p}"
         done += 1
+    assert paths["_divmod_windows"] > 100 and paths["_palindrome_divmod_terms"] > 20, paths
