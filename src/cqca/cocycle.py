@@ -31,14 +31,18 @@ PhaseFunction.evaluate_batch computes it for a whole family of vectors held
 as one coefficient array (see phasespace): the linear and diagonal terms
 are sums over the cells, and each table entry at a forward offset x adds one
 product of two slices of the box, the cells y and y + x that both lie in it,
-so the cost is O(vectors * cells * radius) for every d.  evaluate() on one
+so the cost is O(vectors * cells * radius) for every d.  The sums run on
+int64 below p = 2^31, where they would leave it with each product reduced
+before it is summed, and on Python ints beyond.  evaluate() on one
 PhaseVector is the one-vector case.
 
 cocycle_failure checks the identity against the route that does not use
 the table: C computed with beta_batch on images from ScaMatrix.apply_window.  It
 evaluates seeded families (or, for p = 2 on one-variable windows of at
 most five cells, every vector of the window) in a few batch calls, and
-names the first pair that fails.
+names the first pair that fails.  On sampled pairs, xi and eta go through
+one apply_window call, and xi, eta and xi + eta through one evaluate_batch
+call.
 
 phi(e)^p must match the order of w(e), which constrains each generator
 exponent:
@@ -143,22 +147,30 @@ class PhaseFunction:
         # int64 bound: each sum below adds at most 2 * cells products of two
         # numbers below p (coefficients, table values, partial sums reduced
         # mod p) or below 2p (generator exponents), so it stays below
-        # 4 * cells * p^2.
-        planes = np.moveaxis(coeffs, -1, 0).astype(coefficient_dtype(p, 4 * prod(box)), order="C")
+        # 4 * cells * p^2.  Where only that leaves int64, every product is
+        # reduced before it is summed (each; never at p = 2): then a sum adds
+        # cells residues, or at most two products of two residues.
+        dtype = coefficient_dtype(p, 4 * prod(box))
+        each = dtype is object and coefficient_dtype(p, 2) is np.int64
+        if each:
+            dtype = np.int64
+        planes = np.moveaxis(coeffs, -1, 0).astype(dtype, order="C")
         box_axes = tuple(range(-s.d, 0))
         gens = (self.gen_plus, self.gen_minus)
-        linear = sum(gen * plane.sum(axis=box_axes) for gen, plane in zip(gens, planes))
+        linear = sum(gen * (plane.sum(axis=box_axes) % self.order) for gen, plane in zip(gens, planes))
         halves = (planes * (planes - 1) // 2 % p).sum(axis=box_axes) % p
-        quadratic = sum(diag * half for diag, half in zip(self._diagonals, halves))
+        quadratic = sum(diag * half for diag, half in zip(self._diagonals, halves)) % p
         axes = list(range(s.d + 1))  # einsum subscripts: the vector axis, then the box
         for x, t, u, value in self._cross:
             if all(abs(e) < n for e, n in zip(x, box)):
                 # component t at cell y against component u at cell y + x
                 here = [slice(max(0, -e), n - max(0, e)) for e, n in zip(x, box)]
                 there = [slice(max(0, e), n - max(0, -e)) for e, n in zip(x, box)]
-                pairs = np.einsum(
-                    planes[(t, slice(None), *here)], axes, planes[(u, slice(None), *there)], axes, [0]
-                )
+                left, right = planes[(t, slice(None), *here)], planes[(u, slice(None), *there)]
+                if each:
+                    pairs = (left * right % p).sum(axis=box_axes)
+                else:
+                    pairs = np.einsum(left, axes, right, axes, [0])
                 quadratic = (quadratic + value * (pairs % p)) % p
         return (linear + self.order // p * quadratic) % self.order
 
@@ -220,8 +232,9 @@ def cocycle_failure(phi: PhaseFunction, radius: int, samples: int = 10000, seed:
     group is small enough), and a seeded sample of `samples` pairs
     otherwise, drawn as PhaseVector.random would draw them.  C is computed
     with beta_batch on the images of apply_window, independently of the table
-    behind evaluate_batch.  A message names the failing vectors as
-    (plus, minus) polynomials.  ValueError past COCYCLE_CELL_BUDGET drawn vector-cells.
+    behind evaluate_batch; the sampled pairs take one call of each.  A
+    message names the failing vectors as (plus, minus) polynomials.
+    ValueError past COCYCLE_CELL_BUDGET drawn vector-cells.
     """
     if samples < 1:
         raise ValueError(f"samples must be positive, got {samples}")
@@ -286,11 +299,14 @@ def cocycle_failure(phi: PhaseFunction, radius: int, samples: int = 10000, seed:
         for i, j in np.argwhere(got != expected)[:1]:
             return failure(family[i], family[j], got[i, j], expected[i, j])
         return None
-    draws = random_coefficients(rng, p, 2 * samples, width**d).reshape((samples, 2) + box + (2,))
-    xi, eta = draws[:, 0], draws[:, 1]
-    corrections = beta_batch(xi, eta, p) - beta_batch(s.apply_window(xi), s.apply_window(eta), p)
-    got = phi.evaluate_batch((xi + eta) % p)
-    expected = (phi.evaluate_batch(xi) + phi.evaluate_batch(eta) + step * (corrections % p)) % order
+    draws = random_coefficients(rng, p, 2 * samples, width**d).reshape((2 * samples,) + box + (2,))
+    xi, eta = draws[0::2], draws[1::2]
+    images = s.apply_window(draws)
+    corrections = beta_batch(xi, eta, p) - beta_batch(images[0::2], images[1::2], p)
+    # one family: the draws (xi and eta interleaved), then the sums
+    values = phi.evaluate_batch(np.concatenate([draws, (xi + eta) % p]))
+    got = values[2 * samples :]
+    expected = (values[0 : 2 * samples : 2] + values[1 : 2 * samples : 2] + step * (corrections % p)) % order
     for k in np.flatnonzero(got != expected)[:1]:
         return failure(xi[k], eta[k], got[k], expected[k])
     return None

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from itertools import chain
+from operator import add, neg
 
 import numpy as np
 
@@ -46,11 +47,8 @@ __all__ = [
 # Degree of the zero polynomial: a real minus infinity, ordered below every int.
 NEG_INF = float("-inf")
 
-# Dense-path guards.  A dense product costs len(a)*len(b) multiply-adds over
-# the laid-out windows; beyond the budget (or for hollow supports, see
-# _is_hollow) the sparse walk wins.  The exponent cap keeps every product
-# exponent inside int64.
-_DENSE_BUDGET = 1 << 22
+# Dense-path guard: the exponent cap keeps every product exponent inside
+# int64.  Hollow supports (see _is_hollow) take the sparse walk.
 _DENSE_MAX_EXP = 1 << 62
 
 
@@ -298,7 +296,7 @@ class LaurentPoly:
             return LaurentPoly._raw(p, self.d, {})
         out = {}
         for e, c in self.terms.items():
-            out[tuple(x + y for x, y in zip(e, exponent))] = (c * coefficient) % p
+            out[tuple(map(add, e, exponent))] = (c * coefficient) % p
         return LaurentPoly._raw(p, self.d, out)
 
     def shifted(self, x):
@@ -309,7 +307,7 @@ class LaurentPoly:
         acc = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                k = tuple(x + y for x, y in zip(e1, e2))
+                k = tuple(map(add, e1, e2))
                 acc[k] = acc.get(k, 0) + c1 * c2
         p = self.p
         out = {}
@@ -340,11 +338,7 @@ class LaurentPoly:
         strides = _strides(shape)
         len_a = sum(x * s for x, s in zip(span_a, strides)) + 1
         len_b = sum(x * s for x, s in zip(span_b, strides)) + 1
-        if (
-            len_a * len_b > _DENSE_BUDGET
-            or _is_hollow(span_a, len(self.terms))
-            or _is_hollow(span_b, len(other.terms))
-        ):
+        if _is_hollow(span_a, len(self.terms)) or _is_hollow(span_b, len(other.terms)):
             return None
         # Each product cell sums at most min(len_a, len_b) coefficient products.
         dtype = coefficient_dtype(self.p, min(len_a, len_b))
@@ -402,13 +396,13 @@ class LaurentPoly:
     def reflect(self):
         """The involution u -> u^{-1}: negate every exponent."""
         return LaurentPoly._raw(
-            self.p, self.d, {tuple(-v for v in e): c for e, c in self.terms.items()}
+            self.p, self.d, {tuple(map(neg, e)): c for e, c in self.terms.items()}
         )
 
     def is_palindrome(self) -> bool:
         terms = self.terms
         for e, c in terms.items():
-            if terms.get(tuple(-v for v in e)) != c:
+            if terms.get(tuple(map(neg, e))) != c:
                 return False
         return True
 

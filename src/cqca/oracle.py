@@ -28,9 +28,12 @@ bounded size.  The batched checks never leave the arrays: beta comes from
 phasespace.beta_batch on the pairs of a block, sigma is
 beta_batch(xi, eta) - beta_batch(eta, xi), and check_clifford_action takes
 the images and phases of its distinct vectors from ScaMatrix.apply_window
-and PhaseFunction.evaluate_batch.  check_unitary, check_weyl_relation,
-commutation_exponent, check_commutation and check_order_condition stay as
-the per-pair reference, with beta and sigma on PhaseVectors.
+and PhaseFunction.evaluate_batch.  It finds those vectors among xi, eta and
+xi + eta by one integer code per vector (_distinct_vectors), and builds the
+operators of all three for a block of pairs in one _weyl_batch call.
+check_unitary, check_weyl_relation, commutation_exponent, check_commutation
+and check_order_condition stay as the per-pair reference, with beta and
+sigma on PhaseVectors.
 """
 
 from __future__ import annotations
@@ -157,10 +160,14 @@ class WeylOperator:
         return m
 
 
+def _places(p: int, width: int) -> np.ndarray:
+    """Place values of width base-p digits, most significant first."""
+    return p ** np.arange(width - 1, -1, -1, dtype=np.int64)
+
+
 def _digits(index, p: int, width: int) -> np.ndarray:
     """Base-p digits of each index, most significant first: shape index.shape + (width,)."""
-    place = p ** np.arange(width - 1, -1, -1, dtype=np.int64)
-    return np.asarray(index, dtype=np.int64)[..., None] // place % p
+    return np.asarray(index, dtype=np.int64)[..., None] // _places(p, width) % p
 
 
 def _weyl_batch(coeffs: np.ndarray, p: int) -> WeylOperator:
@@ -259,6 +266,20 @@ def _vectors_on_cells(p: int, sites: int) -> np.ndarray:
     return _digits(np.arange((p * p) ** sites), p, 2 * sites).reshape(-1, sites, 2)
 
 
+def _distinct_vectors(family: np.ndarray, p: int):
+    """np.unique(family, axis=0, return_inverse=True) for a (vectors, sites, 2) family.
+
+    Each vector is coded by its coefficients read as base-p digits, most
+    significant first, so the codes sort like the rows; one 1-D np.unique
+    on the codes finds the distinct vectors, and _digits decodes them.  On
+    an oracle window a code is below p^(2 sites) <= MAX_WINDOW_DIM^2 = 2^24.
+    """
+    width = family.shape[1] * 2
+    codes = family.reshape(len(family), width) @ _places(p, width)
+    values, inverse = np.unique(codes, return_inverse=True)
+    return _digits(values, p, width).reshape(-1, width // 2, 2), inverse
+
+
 def _commutation_exponents(w_xi: WeylOperator, w_eta: WeylOperator, p: int) -> np.ndarray:
     """Per pair, k with w(eta) w(xi) = eps_p^k w(xi) w(eta), or -1 if there is none."""
     lhs = w_eta @ w_xi
@@ -282,8 +303,11 @@ def check_clifford_action(
     radius) so every image stays inside the window: exhaustively up to
     CLIFFORD_EXHAUSTIVE_PAIRS pairs, else by seeded sampling in the draw
     order of PhaseVector.random.  The images and phases of the distinct
-    vectors come from s.apply_window and phi.evaluate_batch, and the beta of
-    each pair from beta_batch.  ValueError if s, phi and the window do not
+    vectors among xi, eta and xi + eta come from s.apply_window and
+    phi.evaluate_batch, and the beta of each pair from beta_batch.  Each
+    block of pairs builds the operators of its three images in one
+    _weyl_batch call; each of the three (pairs, dim) sets holds at most
+    _BLOCK_ELEMENTS elements.  ValueError if s, phi and the window do not
     share one prime.
     """
     if not s.p == phi.automaton.p == window.p:
@@ -309,18 +333,19 @@ def check_clifford_action(
     else:
         draws = random_coefficients(random.Random(seed), p, 2 * samples, n_inner)
         xi, eta = draws.reshape(samples, 2, n_inner, 2).swapaxes(0, 1)
-    stacked = np.concatenate([xi, eta, (xi + eta) % p]).reshape(3 * len(xi), -1)
-    distinct, inverse = np.unique(stacked, axis=0, return_inverse=True)
-    first, second, total = inverse.reshape(3, -1)
-    distinct = distinct.reshape(-1, n_inner, 2)
+    distinct, inverse = _distinct_vectors(np.concatenate([xi, eta, (xi + eta) % p]), p)
+    trios = inverse.reshape(3, -1)
+    first, second, total = trios
     # The inner window widened by the radius on both sides is the window.
     images = s.apply_window(distinct)
     phases = phi.evaluate_batch(distinct)
     # phi(xi) phi(eta) w(s xi) w(s eta) must equal eps_p^{beta(xi, eta)} phi(xi + eta) w(s(xi + eta)).
     shift = phases[total] - phases[first] - phases[second] - phi.order // p * beta_batch(xi, eta, p)
     for block in _blocks(len(first), window.dim):
-        lhs = _weyl_batch(images[first[block]], p) @ _weyl_batch(images[second[block]], p)
-        if lhs != _weyl_batch(images[total[block]], p).scaled(shift[block]):
+        # one build for the images of xi, eta and xi + eta of the block's pairs
+        w = _weyl_batch(images[trios[:, block].ravel()], p)
+        k = len(w.row) // 3
+        if w[:k] @ w[k : 2 * k] != w[2 * k :].scaled(shift[block]):
             return False
     return True
 

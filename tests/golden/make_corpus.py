@@ -284,6 +284,105 @@ def compose_commands() -> list:
     return commands
 
 
+# -- phase, selftest and recipe ------------------------------------------------------
+
+# Primes of the phase corpus: the exhaustive p = 2 branch, odd primes, and the
+# largest prime whose phase sums run on int64 (each product reduced).
+PHASE_PRIMES = (2, 3, 5, 7, 2**31 - 1)
+
+
+def _small_words(p: int):
+    """(name, matrix) of automata of radius 0, 1 and 2 at p: a shear, then one word per radius."""
+    from cqca import multiply_word, random_word, shear_g
+
+    out = [("shear", shear_g(p, 1, p - 1))]
+    radii = set()
+    for seed in range(100):
+        matrix = multiply_word(random_word(p, 3, 1, seed))
+        if matrix.radius() <= 2 and matrix.radius() not in radii:
+            radii.add(matrix.radius())
+            out.append((f"word-r{matrix.radius()}-s{seed}", matrix))
+    return out
+
+
+def phase_commands() -> list:
+    from cqca import LaurentPoly, from_recipe, shear_g, shift, upper_shear_g
+
+    commands = []
+
+    def add(name, obj, *args):
+        commands.append({"id": f"phase-{name}", "argv": ["phase", "{m}", *args], "files": {"m": obj}})
+
+    for p in PHASE_PRIMES:
+        for name, matrix in _small_words(p):
+            if p == 2**31 - 1 and "r1" not in name and name != "shear":
+                continue  # the slowest prime: a shear and the radius-1 word only
+            add(f"{name}-p{p}", matrix.to_json_dict())
+    add("shift-p2", shift(2, 1, 1).to_json_dict())
+    add("upper-shear-r2-p5", upper_shear_g(5, 2, 3).to_json_dict())
+    f2 = LaurentPoly(3, 2, {(1, 0): 1, (-1, 0): 1, (0, 1): 1, (0, -1): 1})
+    add("recipe-d2-p3", from_recipe(f2, LaurentPoly.one(3, 2)).to_json_dict())
+    shear = shear_g(3, 1, 2).to_json_dict()
+    for seed in (0, 12345, -5):
+        add(f"seed{seed}-p3", shear, "--seed", str(seed))
+    add("not-symplectic", NOT_SYMPLECTIC)
+    add("zero", ZERO)
+    add("over-budget", shear_g(3, 60, 1).to_json_dict())
+    add("over-budget-hollow", shear_g(2**31 - 1, 2**31 - 1, 1).to_json_dict())
+    add("wrong-p", shear, "--p", "5")
+    add("wrong-d", shear, "--d", "2")
+    add("bad-seed", shear, "--seed", "x")
+    add("bad-poly", {"p": 3, "d": 1, "entries": [["1 +", "0"], ["0", "1"]]})
+    return commands
+
+
+def selftest_commands() -> list:
+    commands = []
+    for p in (2, 3):
+        for seed in ("7", "3"):
+            commands.append({"id": f"selftest-p{p}-seed{seed}", "argv": ["selftest", "--p", str(p), "--seed", seed]})
+        commands.append({"id": f"selftest-p{p}-narrow", "argv": ["selftest", "--p", str(p), "--sites", "2"]})
+    commands.append({"id": "selftest-not-prime", "argv": ["selftest", "--p", "4"]})
+    return commands
+
+
+def recipe_commands() -> list:
+    commands = []
+
+    def add(name, p, f, h, *args, d=None):
+        argv = ["recipe", "--p", str(p), "--f", f, "--h", h, *args]
+        if d is not None:
+            argv += ["--d", str(d)]
+        commands.append({"id": f"recipe-{name}", "argv": argv})
+
+    for p in PRIMES:
+        add(f"default-p{p}", p, "1 + u + u^-1", "1")
+        add(f"zero-h-p{p}", p, "1 + 2u^2 + 2u^-2", "0")
+        add(f"both-p{p}", p, "u + u^-1", "3 + u^3 + u^-3")
+        add(f"completed-p{p}", p, "0", "1", "--fp", "1", "--hp", "1")
+    add("d2-p3", 3, "u1 + u1^-1 + u2 + u2^-1", "1", d=2)
+    add("d2-far-p5", 5, "u1^2u2 + u1^-2u2^-1", "2", d=2)
+    add("d3-p2", 2, "u1u2u3 + u1^-1u2^-1u3^-1", "1 + u3 + u3^-1", d=3)
+    # Palindrome rejections, each of the four inputs in turn.
+    add("f-not-palindrome", 2, "u", "1")
+    add("h-not-palindrome", 3, "1", "u + 2u^-1")
+    add("fp-not-palindrome", 3, "1", "1", "--fp", "u^2", "--hp", "1")
+    add("hp-not-palindrome", 5, "1", "1", "--fp", "1", "--hp", "1 + u")
+    add("d2-not-palindrome", 3, "u1 + u2^-1", "1", d=2)
+    # Completions that are palindromes but break symplecticity.
+    add("wrong-completion", 3, "1", "1", "--fp", "1", "--hp", "1")
+    add("fp-only", 5, "1 + u + u^-1", "2", "--fp", "3")
+    add("hp-only", 5, "1 + u + u^-1", "2", "--hp", "4")
+    # Malformed input.
+    add("bad-f", 3, "1 +", "1")
+    add("bad-exponent", 3, "u^99999999999", "1")
+    add("not-prime", 4, "1", "1")
+    add("p-one", 1, "1", "1")
+    commands.append({"id": "recipe-missing-p", "argv": ["recipe", "--f", "1", "--h", "1"]})
+    commands.append({"id": "recipe-missing-h", "argv": ["recipe", "--p", "3", "--f", "1"]})
+    return commands
+
+
 BUILDERS = {
     "evolve": evolve_commands,
     "verify": verify_commands,
@@ -291,6 +390,9 @@ BUILDERS = {
     "invert": invert_commands,
     "factor": factor_commands,
     "compose": compose_commands,
+    "phase": phase_commands,
+    "selftest": selftest_commands,
+    "recipe": recipe_commands,
 }
 
 

@@ -432,6 +432,52 @@ def test_apply_window_reduces_per_term_below_2_31(monkeypatch):
     assert images.any()
 
 
+def test_evaluate_batch_reduces_per_product_below_2_31():
+    # At p = 2^31 - 1 the unreduced sums over 9 cells leave int64, but two
+    # products do not: the phases stay int64 and equal the fold.  At
+    # 10^18 + 3 one product leaves int64 and the phases are Python ints.
+    # On this word some of the 40 vectors need every reduction of the int64
+    # path, the partial quadratic sums' included.
+    for p, dtype in ((2**31 - 1, np.int64), (10**18 + 3, object)):
+        s = multiply_word(random_word(p, 6, 2, 18))
+        phi = PhaseFunction(s, p - 1, p - 2)
+        rng = random.Random(p)
+        coeffs = np.full((41, 9, 2), p - 1, dtype=coefficient_dtype(p))
+        coeffs[1:] = [[[rng.randrange(p), rng.randrange(p)] for _ in range(9)] for _ in range(40)]
+        values = phi.evaluate_batch(coeffs)
+        assert values.dtype == dtype
+        assert values.tolist() == [fold_reference(phi, xi) for xi in family_vectors(p, coeffs, -4)]
+
+
+def test_cocycle_failure_names_the_pair_of_a_phase_wrong_on_a_sum(monkeypatch):
+    # phi is off by one only on xi + eta of the 8th drawn pair; the message
+    # names that pair, whatever the batching of the evaluations.
+    from cqca import cocycle
+
+    draws = []
+
+    def recording(*args):
+        draws.append(real_draw(*args))
+        return draws[-1]
+
+    def wrong_on_the_sum(self, coeffs):
+        values = real_evaluate(self, coeffs)
+        if len(draws[-1]) == 1:  # the translation check
+            return values
+        xi, eta = draws[-1].reshape((-1, 2) + coeffs.shape[1:])[7]
+        hits = (coeffs == (xi + eta) % 3).reshape(len(coeffs), -1).all(axis=1)
+        return (values + hits) % self.order
+
+    real_draw, real_evaluate = cocycle.random_coefficients, PhaseFunction.evaluate_batch
+    monkeypatch.setattr(cocycle, "random_coefficients", recording)
+    monkeypatch.setattr(PhaseFunction, "evaluate_batch", wrong_on_the_sum)
+    assert cocycle_failure(default_phase(shear_g(3, 1)), radius=2, samples=50, seed=4) == (
+        "cocycle identity fails for xi = (2u^-1 + 1 + u, u^-2 + 2 + u + u^2),"
+        " eta = (0, 2u^-2 + 2u^-1 + 1 + 2u^2): phi(xi + eta) = 1,"
+        " but phi(xi) + phi(eta) + 1 C(xi, eta) = 0 (mod 3)"
+    )
+
+
 def test_evaluate_shrinks_wide_gaps():
     # a sparse vector spanning 2^40 cells costs a box of a few cells
     s = shear_g(3, 2)

@@ -293,6 +293,25 @@ def test_dense_path_takes_every_prime(monkeypatch):
             assert f * g == oracle_mul(f, g)
 
 
+def test_dense_path_takes_products_of_any_size(monkeypatch):
+    """A 4000-term product that is not hollow is one convolution, not a sparse walk."""
+
+    def no_sparse(self, other):
+        raise AssertionError("a non-hollow product reached the sparse walk")
+
+    monkeypatch.setattr(LaurentPoly, "_mul_sparse", no_sparse)
+    rng = random.Random(25)
+    p = 3
+    # every third cell empty: 4000 terms on 6000 cells
+    a = np.array([0 if k % 3 == 2 else rng.randint(1, p - 1) for k in range(6000)])
+    b = np.array([rng.randint(1, p - 1) for _ in range(4000)])
+    f = LaurentPoly(p, 1, {k - 3000: int(c) for k, c in enumerate(a) if c})
+    g = LaurentPoly(p, 1, {k + 17: int(c) for k, c in enumerate(b)})
+    assert len(f.terms) == len(g.terms) == 4000
+    want = np.convolve(a, b) % p
+    assert (f * g).terms == {(k - 2983,): int(c) for k, c in enumerate(want) if c}
+
+
 def test_dense_dtype_boundary_matches_sparse():
     """Products either side of the int64 bound 2p + n p^2 < 2^63 are exact.
 

@@ -6,11 +6,14 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cqca import (
     LaurentPoly,
     PhaseFunction,
     PhaseVector,
+    ScaMatrix,
     beta,
     default_phase,
     from_recipe,
@@ -494,3 +497,84 @@ def test_batched_clifford_action_matches_the_pair_loop(monkeypatch):
                     assert check_clifford_action(s, phi, window, **kwargs) == expected, (p, s, phi, window)
                     verdicts.append(expected)
     assert True in verdicts and False in verdicts
+
+
+# -- integer-coded families and one operator build per block ----------------------
+
+
+def window_sites(p):
+    """The most cells of a window at p: p**sites <= MAX_WINDOW_DIM."""
+    sites = 1
+    while p ** (sites + 1) <= MAX_WINDOW_DIM:
+        sites += 1
+    return sites
+
+
+@st.composite
+def coded_families(draw):
+    """A prime, and a (vectors, sites, 2) family with repeats, zero and all-(p - 1) vectors."""
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    sites = draw(st.integers(1, window_sites(p)))
+    vector = st.lists(st.integers(0, p - 1), min_size=2 * sites, max_size=2 * sites)
+    pool = draw(st.lists(vector, min_size=1, max_size=6))
+    pool += [[0] * (2 * sites), [p - 1] * (2 * sites)]
+    rows = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=40))
+    return p, np.array(rows, dtype=np.int64).reshape(-1, sites, 2)
+
+
+@settings(max_examples=100)
+@given(coded_families())
+@example((2, np.array([[[1, 1]] * 12, [[0, 0]] * 12, [[1, 1]] * 12, [[0, 1]] * 12], dtype=np.int64)))
+def test_distinct_vectors_match_unique_rows(case):
+    p, family = case
+    distinct, inverse = oracle._distinct_vectors(family, p)
+    rows, want = np.unique(family.reshape(len(family), -1), axis=0, return_inverse=True)
+    assert distinct.shape == (len(rows),) + family.shape[1:]
+    assert np.array_equal(distinct.reshape(len(rows), -1), rows)
+    assert np.array_equal(inverse, want.ravel())
+    assert np.array_equal(distinct[inverse], family)
+
+
+def test_one_weyl_build_equals_three():
+    rng = random.Random(13)
+    for p, sites in ((2, 4), (3, 3), (5, 2), (7, 2)):
+        parts = [random_family(rng, p, sites, count) for count in (5, 3, 5)]
+        whole = oracle._weyl_batch(np.concatenate(parts), p)
+        start = 0
+        for part in parts:
+            assert whole[start : start + len(part)] == oracle._weyl_batch(part, p)
+            start += len(part)
+
+
+@pytest.mark.parametrize(
+    "s, window",
+    [
+        (shear_g(2, 1, 1), Window(2, 0, 2)),  # 16 pairs: exhaustive
+        (shear_g(3, 1, 1), Window(3, 0, 3)),  # 6561 pairs: sampled
+    ],
+    ids=["exhaustive", "sampled"],
+)
+def test_clifford_action_catches_one_wrong_image_or_phase(s, window, monkeypatch):
+    phi = default_phase(s)
+    assert check_clifford_action(s, phi, window, samples=64)
+    apply_window, evaluate_batch = ScaMatrix.apply_window, PhaseFunction.evaluate_batch
+    p = window.p
+    for member in (0, 1, -1):
+
+        def wrong_image(self, coeffs):
+            images = apply_window(self, coeffs)
+            images[member, window.sites // 2, 0] = (images[member, window.sites // 2, 0] + 1) % p
+            return images
+
+        def wrong_phase(self, coeffs):
+            phases = evaluate_batch(self, coeffs)
+            phases[member] = (phases[member] + 1) % self.order
+            return phases
+
+        for owner, name, patch in (
+            (ScaMatrix, "apply_window", wrong_image),
+            (PhaseFunction, "evaluate_batch", wrong_phase),
+        ):
+            monkeypatch.setattr(owner, name, patch)
+            assert not check_clifford_action(s, phi, window, samples=64), (name, member)
+            monkeypatch.undo()
