@@ -149,6 +149,23 @@ def evolve_commands() -> list:
     add("pgm-stdout", grow2, "--plus", "1 + u^5", "--steps", 40, "--format", "pgm")
     add("pgm-cap", shear_g(2, 2**30), "--plus", "1", "--format", "pgm")
     add("csv-out", grow3, "--plus", "1", "--steps", 100, "--out", "{out}")
+    # ASCII and PGM on both orbit routes, at the window's edges and across blocks.
+    apply_route = multiply_word(random_word(2**31 - 1, 4, 1, 105))  # a trace of three terms
+    add("ascii-zero-start", grow3, "--steps", 6, "--format", "ascii")
+    add("pgm-zero-start", grow3, "--steps", 6, "--format", "pgm")
+    add("ascii-T0", grow3, "--plus", "1", "--minus", "u", "--steps", 0, "--format", "ascii")
+    add("pgm-T0", grow2, "--plus", "1 + u^2", "--steps", 0, "--format", "pgm")
+    add("ascii-apply-p2147483647", apply_route, "--plus", "1", "--minus", "u^-1", "--steps", 12, "--format", "ascii")
+    add("pgm-apply-p2147483647", apply_route, "--plus", "1", "--steps", 30, "--format", "pgm")
+    add("ascii-far-start", grow2, "--plus", "u^40 + u^43", "--minus", "u^41", "--steps", 30, "--format", "ascii")
+    add("pgm-far-start", grow3, "--plus", "u^-1000", "--minus", "2u^-999", "--steps", 50, "--format", "pgm")
+    add("ascii-moving", multiply_word(random_word(3, 4, 1, 5)).shifted(-7), "--plus", "1", "--steps", 10, "--format", "ascii")
+    add("pgm-blocks", grow2, "--plus", "1", "--steps", 300, "--format", "pgm", "--out", "{out}")
+    add("pgm-blocks-p3", grow3, "--plus", "1", "--minus", "u", "--steps", 400, "--format", "pgm")
+    add("ascii-word-p7", multiply_word(random_word(7, 4, 1, 104)), "--plus", "1", "--minus", "3u", "--steps", 30, "--format", "ascii")
+    add("ascii-local-p7", local_f(7, 3), "--plus", "1 + 2u", "--minus", "u^2", "--steps", 5, "--format", "ascii")
+    add("ascii-light-cone", grow3, "--plus", "1", "--steps", 20, "--format", "ascii", radius=0)
+    add("pgm-light-cone", grow2, "--plus", "1", "--steps", 20, "--format", "pgm", "--out", "{out}", radius=0)
     # Rejections.
     add("light-cone", shear_g(2, 1, 1), "--plus", "1", "--steps", 3, radius=0)
     add("light-cone-grow", grow3, "--plus", "1", "--steps", 200, radius=0)
