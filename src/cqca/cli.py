@@ -318,12 +318,12 @@ def _ascii_window(s, xi0, steps):
     return lo0 - radius * steps, hi0 + radius * steps
 
 
-def _grid_rows(slices, lo: int, hi: int, levels):
-    """One bytes row per slice over columns lo..hi, levels indexed by plus + 2 * minus."""
-    for cells, plus, minus in slices:
-        row = np.zeros(hi - lo + 1, dtype=np.uint8)
-        row[cells - lo] = (plus != 0) + 2 * (minus != 0)
-        yield levels[row].tobytes()
+def _grid_rows(blocks, lo: int, hi: int, levels):
+    """One grid per orbit block, a row per slice over columns lo..hi, of levels[plus + 2 * minus]."""
+    for start, stop, t, cells, plus, minus in blocks:
+        grid = np.zeros((stop - start, hi - lo + 1), dtype=np.uint8)
+        grid[t - start, cells - lo] = (plus != 0) + 2 * (minus != 0)
+        yield levels[grid]
 
 
 _ASCII_GLYPHS = np.frombuffer(b" +-*", dtype=np.uint8)  # empty, plus, minus, both
@@ -331,15 +331,15 @@ _PGM_LEVELS = np.array([0, 96, 160, 255], dtype=np.uint8)
 _PGM_MAX_PIXELS = 1 << 24
 
 
-def _emit_ascii(slices, lo: int, hi: int, out) -> None:
-    for row in _grid_rows(slices, lo, hi, _ASCII_GLYPHS):
-        out.write(row.decode("ascii") + "\n")
+def _emit_ascii(blocks, lo: int, hi: int, out) -> None:
+    for grid in _grid_rows(blocks, lo, hi, _ASCII_GLYPHS):
+        out.write("".join(row.tobytes().decode("ascii") + "\n" for row in grid))
 
 
-def _emit_pgm(slices, lo: int, hi: int, steps: int, out) -> None:
+def _emit_pgm(blocks, lo: int, hi: int, steps: int, out) -> None:
     out.write(f"P5 {hi - lo + 1} {steps + 1} 255\n".encode("ascii"))
-    for row in _grid_rows(slices, lo, hi, _PGM_LEVELS):
-        out.write(row)
+    for grid in _grid_rows(blocks, lo, hi, _PGM_LEVELS):
+        out.write(grid.tobytes())
 
 
 def cmd_evolve(args) -> int:
@@ -375,12 +375,13 @@ def cmd_evolve(args) -> int:
     else:
         sink = open(args.out, "w", encoding="utf-8")
     with sink as out:
+        blocks = s.orbit_blocks(xi0, steps)
         if fmt == "csv":
-            _emit_csv(s.orbit_blocks(xi0, steps), d, out)
+            _emit_csv(blocks, d, out)
         elif fmt == "ascii":
-            _emit_ascii(s.orbit(xi0, steps), lo, hi, out)
+            _emit_ascii(blocks, lo, hi, out)
         else:
-            _emit_pgm(s.orbit(xi0, steps), lo, hi, steps, out)
+            _emit_pgm(blocks, lo, hi, steps, out)
     if not args.out:
         stdout.flush()
     return 0

@@ -25,7 +25,9 @@ generator before the minus one.  Writing xi = sum_k c_k e_k in that order,
 
 C between two generators depends only on their kinds and their offset, and
 vanishes beyond twice the automaton radius, so PhaseFunction tabulates it
-once and phi is this integer quadratic form, for every p and d.
+once and phi is this integer quadratic form, for every p and d.  The
+automaton is certified once too, by sca.classify (shift times palindrome
+core).
 
 PhaseFunction.evaluate_batch computes it for a whole family of vectors held
 as one coefficient array (see phasespace): the linear and diagonal terms
@@ -62,7 +64,8 @@ import numpy as np
 
 from . import sca
 from .ffield import check_prime
-from .phasespace import PhaseVector, beta, beta_batch, coefficient_dtype, random_coefficients
+from .laurent import coefficient_dtype
+from .phasespace import PhaseVector, beta, beta_batch, random_coefficients
 
 __all__ = [
     "COCYCLE_CELL_BUDGET",
@@ -87,13 +90,16 @@ def phase_group_order(p: int) -> int:
 
 
 class PhaseFunction:
-    """Cocycle solution determined by the automaton and two generator exponents."""
+    """Cocycle solution determined by the automaton and two generator exponents.
+
+    The automaton is certified once, by sca.classify, which raises
+    NotSymplectic with its reason.
+    """
 
     __slots__ = ("automaton", "order", "gen_plus", "gen_minus", "_diagonals", "_cross", "_reach")
 
     def __init__(self, automaton: sca.ScaMatrix, gen_plus: int, gen_minus: int):
-        if not automaton.is_symplectic():
-            raise sca.NotSymplectic("phase functions need a symplectic automaton")
+        sca.classify(automaton)
         for gen in (gen_plus, gen_minus):
             if not isinstance(gen, int) or isinstance(gen, bool):
                 raise TypeError(f"generator exponents must be ints, got {gen!r}")
@@ -216,8 +222,9 @@ def default_phase(s: sca.ScaMatrix) -> PhaseFunction:
     """The least generator exponents that satisfy the power constraint.
 
     They are 0 for odd p and C(e, e) = -beta(s e, s e) mod 2 at p = 2.
+    PhaseFunction certifies s, so a matrix that is not an automaton raises
+    classify's NotSymplectic.
     """
-    sca.classify(s)  # certification; raises NotSymplectic otherwise
     if s.p == 2:
         return PhaseFunction(s, *(-beta(c, c) % 2 for c in (s.column_plus(), s.column_minus())))
     return PhaseFunction(s, 0, 0)

@@ -133,7 +133,7 @@ def _centred_sub(a, b, p):
 
 
 def _convolve_mod(a, b, p):
-    """a * b on centred windows, summed in coefficient_dtype and kept in a's dtype."""
+    """a * b on coefficient windows, summed in coefficient_dtype and kept in a's dtype."""
     if not len(a) or not len(b):
         return a[:0]
     dtype = coefficient_dtype(p, min(len(a), len(b)))
@@ -340,13 +340,12 @@ class LaurentPoly:
         len_b = sum(x * s for x, s in zip(span_b, strides)) + 1
         if _is_hollow(span_a, len(self.terms)) or _is_hollow(span_b, len(other.terms)):
             return None
-        # Each product cell sums at most min(len_a, len_b) coefficient products.
-        dtype = coefficient_dtype(self.p, min(len_a, len_b))
-        conv = np.convolve(
+        dtype = coefficient_dtype(self.p)  # residues; _convolve_mod widens the sums
+        conv = _convolve_mod(
             _coeff_window(self, lo_a, strides, len_a, dtype),
             _coeff_window(other, lo_b, strides, len_b, dtype),
+            self.p,
         )
-        conv %= self.p
         nz = conv.nonzero()[0]
         base = [x + y for x, y in zip(lo_a, lo_b)]
         if d == 1:

@@ -280,13 +280,11 @@ def _distinct_vectors(family: np.ndarray, p: int):
     return _digits(values, p, width).reshape(-1, width // 2, 2), inverse
 
 
-def _commutation_exponents(w_xi: WeylOperator, w_eta: WeylOperator, p: int) -> np.ndarray:
-    """Per pair, k with w(eta) w(xi) = eps_p^k w(xi) w(eta), or -1 if there is none."""
-    lhs = w_eta @ w_xi
-    rhs = w_xi @ w_eta
-    diff = (lhs.phase - rhs.phase) % lhs.order
-    k, rest = np.divmod(diff[:, 0], lhs.order // p)
-    exact = (lhs.row == rhs.row).all(axis=1) & (rest == 0) & (diff == diff[:, :1]).all(axis=1)
+def _commutation_exponents(xi_eta: WeylOperator, eta_xi: WeylOperator, p: int) -> np.ndarray:
+    """Per pair, k with w(eta) w(xi) = eps_p^k w(xi) w(eta), or -1, from the products xi_eta and eta_xi."""
+    diff = (eta_xi.phase - xi_eta.phase) % xi_eta.order
+    k, rest = np.divmod(diff[:, 0], xi_eta.order // p)
+    exact = (eta_xi.row == xi_eta.row).all(axis=1) & (rest == 0) & (diff == diff[:, :1]).all(axis=1)
     return np.where(exact, k, -1)
 
 
@@ -389,15 +387,16 @@ def _check_family(family: np.ndarray, p: int):
 def _check_pairs(family: np.ndarray, first: np.ndarray, second: np.ndarray, p: int):
     """(weyl_relation, commutation) verdicts on the pairs (family[first[k]], family[second[k]])."""
     step = phase_group_order(p) // p
-    # each family member of the block is built once
     members, local = np.unique(np.concatenate([first, second]), return_inverse=True)
-    w = _weyl_batch(family[members], p)
-    w_xi, w_eta = w[local[: len(first)]], w[local[len(first) :]]
     xi, eta = family[first], family[second]
+    # one build: the block's family members once each, then the sums xi + eta
+    w = _weyl_batch(np.concatenate([family[members], (xi + eta) % p]), p)
+    w_xi, w_eta = w[local[: len(first)]], w[local[len(first) :]]
+    product = w_xi @ w_eta
     forward, backward = beta_batch(xi, eta, p), beta_batch(eta, xi, p)
-    relation = _weyl_batch((xi + eta) % p, p) == (w_xi @ w_eta).scaled(step * forward)
+    relation = w[len(members) :] == product.scaled(step * forward)
     # sigma(xi, eta) = beta(xi, eta) - beta(eta, xi)
-    commutation = np.array_equal(_commutation_exponents(w_xi, w_eta, p), (forward - backward) % p)
+    commutation = np.array_equal(_commutation_exponents(product, w_eta @ w_xi, p), (forward - backward) % p)
     return relation, commutation
 
 

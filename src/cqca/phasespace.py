@@ -39,7 +39,6 @@ __all__ = [
     "beta",
     "sigma",
     "form_sigma_poly",
-    "coefficient_dtype",
     "random_coefficients",
     "beta_batch",
 ]

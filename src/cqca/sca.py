@@ -13,12 +13,14 @@ cell transformations f_c, and the shear automata g_n that propagate
 plus-excitations to cells -n and n.
 
 ScaMatrix.orbit_blocks() yields the space-time trace of a vector in blocks
-of consecutive time slices, and ScaMatrix.orbit() one slice at a time.  By
-Cayley-Hamilton, s^2 = tr(s) s - det(s) I, and det(s) = u^2a for an
-automaton, so an orbit obeys x_{t+2} = tr(s) x_{t+1} - u^2a x_t, one
-convolution with the trace per step; orbits step that way on coefficient
-windows, a block at a time, and with apply() where the windows would not
-suit them (see ScaMatrix._orbit_recurrence).
+of consecutive time slices, one row per support cell: t, the cells (int64,
+or object past int64; shape (n,) for d = 1 and (n, d) otherwise) and the
+plus and minus coefficients.  By Cayley-Hamilton, s^2 = tr(s) s - det(s) I,
+and det(s) = u^2a for an automaton, so an orbit obeys
+x_{t+2} = tr(s) x_{t+1} - u^2a x_t, one convolution with the trace per
+step; orbits step that way on coefficient windows, a block at a time, and
+with apply() where the windows would not suit them (see
+ScaMatrix._orbit_recurrence).
 """
 
 from __future__ import annotations
@@ -152,26 +154,15 @@ class ScaMatrix:
             out %= p
         return out
 
-    def orbit(self, xi: PhaseVector, steps: int):
-        """Iterator over the time slices of xi, s xi, ..., s^steps xi.
-
-        A slice is (cells, plus, minus): arrays sorted by cell that hold the
-        support and its coefficients, in coefficient_dtype(p) (object from
-        p = 2^62 on); cells are int64, or object when an exponent leaves
-        int64.  cells has shape (n,) for d == 1 and (n, d) otherwise.  The
-        slices are those of orbit_blocks(), split at every t, so a slice with
-        a cell more than t * radius outside the start support raises
-        InvariantViolation before it is yielded.
-        """
-        return _split_blocks(self.orbit_blocks(xi, steps))
-
     def orbit_blocks(self, xi: PhaseVector, steps: int):
-        """Iterator over the orbit of orbit() in blocks of consecutive slices.
+        """Iterator over the slices of xi, s xi, ..., s^steps xi, in blocks.
 
         A block is (start, stop, t, cells, plus, minus): slices start to
-        stop - 1 as one row per support cell, sorted by t and then by cell,
-        with t an int64 array and cells, plus, minus as in orbit().  A slice
-        with no support has no rows.
+        stop - 1 as one row per support cell, sorted by t and then by cell.
+        t is int64; plus and minus hold the coefficients in
+        coefficient_dtype(p) (object from p = 2^62 on); cells are int64, or
+        object when an exponent leaves int64, of shape (n,) for d == 1 and
+        (n, d) otherwise.  A slice with no support has no rows.
 
         Orbits step in blocks on coefficient windows (see _block_orbit) when
         _orbit_recurrence allows it, and with apply() one slice per block
@@ -444,14 +435,6 @@ def _block_orbit(s, xi: PhaseVector, steps: int, trace, e, c, lo, hi):
         origin = [o + a for o, a in zip(origin, low)]
 
 
-def _split_blocks(blocks):
-    """The slices (cells, plus, minus) of orbit blocks, one per t."""
-    for start, stop, t, cells, plus, minus in blocks:
-        bounds = np.searchsorted(t, np.arange(start, stop + 1)).tolist()
-        for i, j in zip(bounds, bounds[1:]):
-            yield cells[i:j], plus[i:j], minus[i:j]
-
-
 def _light_cone_checked(blocks, start, radius: int):
     """Pass blocks through, checking that slice t lies within t * radius of start."""
     if not start:
@@ -505,8 +488,8 @@ def classify(s: ScaMatrix) -> SymplecticCertificate:
     """Recover the shift-plus-palindrome-core normal form, or raise NotSymplectic.
 
     The route is independent of is_symplectic(): the determinant must be a
-    coefficient-1 monomial with all exponents even, and after removing the
-    shift all four entries must be palindromes with determinant one.
+    coefficient-1 monomial u^2a, and after removing the shift all four
+    entries must be palindromes; the core then has determinant one.
     """
     dt = s.det()
     if len(dt.terms) != 1:
@@ -517,12 +500,10 @@ def classify(s: ScaMatrix) -> SymplecticCertificate:
     if any(e % 2 for e in exps):
         raise NotSymplectic(f"determinant {dt} is not an even monomial u^2a")
     a = tuple(e // 2 for e in exps)
-    core = s.shifted(tuple(-v for v in a))
+    core = s.shifted(tuple(-v for v in a))  # det(core) = u^-2a det(s) = 1
     for name, entry in zip(("pp", "pm", "mp", "mm"), (core.pp, core.pm, core.mp, core.mm)):
         if not entry.is_palindrome():
             raise NotSymplectic(f"core entry {name} = {entry} is not a palindrome")
-    if core.det() != LaurentPoly.one(s.p, s.d):
-        raise NotSymplectic("core determinant is not 1")
     return SymplecticCertificate(shift=a, core=core)
 
 

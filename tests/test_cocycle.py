@@ -34,7 +34,7 @@ from cqca import (
     validate_cocycle,
 )
 from cqca import sca
-from cqca.phasespace import coefficient_dtype
+from cqca.laurent import coefficient_dtype
 
 
 def rand_vector(rng, p, radius=2, d=1):
@@ -193,6 +193,30 @@ def test_default_phase_rejects_non_symplectic():
     one, zero = LaurentPoly.one(3), LaurentPoly.zero(3)
     with pytest.raises(NotSymplectic):
         default_phase(ScaMatrix(one, one, one, one))
+
+
+def test_default_phase_certifies_once(monkeypatch):
+    """One classify per phase function, and no second certificate from is_symplectic."""
+    calls = []
+    classify = sca.classify
+
+    def counting_classify(s):
+        calls.append("classify")
+        return classify(s)
+
+    monkeypatch.setattr(sca, "classify", counting_classify)
+    monkeypatch.setattr(ScaMatrix, "is_symplectic", lambda self: calls.append("is_symplectic"))
+    f2 = LaurentPoly(3, 2, {(1, 0): 1, (-1, 0): 1, (0, 1): 2, (0, -1): 2})
+    for s in (shear_g(2, 1, 1), multiply_word(random_word(3, 6, 2, 1)), from_recipe(f2, LaurentPoly.one(3, 2))):
+        calls.clear()
+        default_phase(s)
+        assert calls == ["classify"]
+    # the reason of a rejection is classify's
+    calls.clear()
+    one = LaurentPoly.one(3)
+    with pytest.raises(NotSymplectic, match="is not a monomial"):
+        default_phase(ScaMatrix(one, one, one, one))
+    assert calls == ["classify"]
 
 
 # -- validation ----------------------------------------------------------------------

@@ -401,7 +401,7 @@ def test_batched_checks_match_the_per_pair_reference(monkeypatch):
             vectors = [PhaseVector.from_coefficients(p, c, 0) for c in family]
             first, second = np.divmod(np.arange(len(family) ** 2), len(family))
             w = oracle._weyl_batch(family, p)
-            exponents = oracle._commutation_exponents(w[first], w[second], p)
+            exponents = oracle._commutation_exponents(w[first] @ w[second], w[second] @ w[first], p)
             for k, (i, j) in enumerate(zip(first.tolist(), second.tolist())):
                 assert exponents[k] == commutation_exponent(vectors[i], vectors[j], window)
             for forms in ((beta_batch, beta, sigma), (bad_beta_batch, bad_beta, bad_sigma)):
@@ -425,12 +425,12 @@ def test_batched_checks_match_the_per_pair_reference(monkeypatch):
 def test_batched_commutation_exponent_without_a_phase():
     # w(e_plus) and w(e_minus) on two cells: sigma is 1 one way round and 2 the other
     w = oracle._weyl_batch(np.array([[[1, 0], [0, 0]], [[0, 1], [0, 0]]]), 3)
-    assert oracle._commutation_exponents(w, w[::-1], 3).tolist() == [1, 2]
+    assert oracle._commutation_exponents(w @ w[::-1], w[::-1] @ w, 3).tolist() == [1, 2]
     bent = WeylOperator(w.row, w.phase.copy(), w.order)
     bent.phase[0, 4] += 1
-    assert oracle._commutation_exponents(w, bent[::-1], 3).tolist() == [1, -1]
+    assert oracle._commutation_exponents(w @ bent[::-1], bent[::-1] @ w, 3).tolist() == [1, -1]
     moved = WeylOperator(w.row[:, ::-1].copy(), w.phase, w.order)
-    assert oracle._commutation_exponents(moved, w[::-1], 3).tolist() == [-1, -1]
+    assert oracle._commutation_exponents(moved @ w[::-1], w[::-1] @ moved, 3).tolist() == [-1, -1]
 
 
 def pair_loop_clifford_action(s, phi, window, samples=512, seed=7):

@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cqca import LaurentPoly, PhaseVector, beta, form_sigma_poly, sigma
-from cqca.phasespace import beta_batch, coefficient_dtype, random_coefficients
+from cqca.laurent import coefficient_dtype
+from cqca.phasespace import beta_batch, random_coefficients
 
 
 def rand_poly(rng, p, d=1, max_terms=4, span=3):

@@ -159,9 +159,17 @@ def cone_violation(support, start, t, radius, d):
     return f"light cone broken at t = {t}: cell {cell} lies more than {r} cells outside the start support"
 
 
+def orbit_slices(s, xi, steps):
+    """The slices (cells, plus, minus) of orbit_blocks(), one per t."""
+    for start, stop, t, cells, plus, minus in s.orbit_blocks(xi, steps):
+        bounds = np.searchsorted(t, np.arange(start, stop + 1)).tolist()
+        for i, j in zip(bounds, bounds[1:]):
+            yield cells[i:j], plus[i:j], minus[i:j]
+
+
 def assert_orbit_is_apply(s, xi, steps, radius):
-    """orbit() yields the apply() iterates, and stops where the cone of `radius` breaks."""
-    slices = s.orbit(xi, steps)
+    """orbit_blocks() yields the apply() iterates, and stops where the cone of `radius` breaks."""
+    slices = orbit_slices(s, xi, steps)
     start, eta = xi.support(), xi
     for t in range(steps + 1):
         support = eta.support()
@@ -409,6 +417,36 @@ def test_classify_rejection_reasons():
     # determinant an odd monomial: no lattice shift can absorb u
     with pytest.raises(NotSymplectic):
         classify(ScaMatrix(u, zero, zero, one))
+
+
+@settings(max_examples=60)
+@given(
+    p=st.sampled_from((2, 3, 5, 7, 2**31 - 1)),
+    length=st.integers(0, 24),
+    seed=st.integers(0, 10**6),
+    offset=st.integers(-5, 5),
+)
+def test_classified_core_has_unit_determinant_on_words(p, length, seed, offset):
+    """classify takes no core determinant: the shift check alone makes it 1."""
+    s = multiply_word(random_word(p, length, 3, seed)).shifted(offset)
+    cert = classify(s)
+    assert cert.core.det() == LaurentPoly.one(p, 1)
+    assert cert.core.shifted(cert.shift) == s
+
+
+@settings(max_examples=60)
+@given(
+    p=st.sampled_from((2, 3, 5)),
+    f=st.dictionaries(st.tuples(st.integers(-2, 2), st.integers(-2, 2)), st.integers(0, 4), max_size=4),
+    h=st.dictionaries(st.tuples(st.integers(-2, 2), st.integers(-2, 2)), st.integers(0, 4), max_size=4),
+    offset=st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+)
+def test_classified_core_has_unit_determinant_on_recipes(p, f, h, offset):
+    f, h = (palindromize(LaurentPoly(p, 2, terms)) for terms in (f, h))
+    s = from_recipe(f, h).shifted(offset)
+    cert = classify(s)
+    assert cert.shift == offset
+    assert cert.core.det() == LaurentPoly.one(p, 2)
 
 
 def test_equivalence_of_criteria_randomized():
