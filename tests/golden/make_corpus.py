@@ -29,6 +29,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import sys
 import tempfile
 
@@ -176,7 +177,43 @@ def evolve_commands() -> list:
     add("wrong-d", shift(3, 1, 1), "--plus", "1", "--d", 2)
     add("wrong-p", shift(3, 1, 1), "--plus", "1", "--p", 5)
     add("bad-start", shift(3, 1, 1), "--plus", "1 + ", "--steps", 2)
+    # Long CSV orbits whose trace has a term at every exponent: the windows
+    # fill the light cone, blocks hold few steps, and many steps pass
+    # between reductions mod p.
+    for p, r, steps in DENSE_ORBITS:
+        add(f"dense-p{p}-r{r}-T{steps}", _dense_recipe(p, r), "--plus", "1 + 2u", "--minus", "u^-1", "--steps", steps)
+    add("dense-p3-r3-out", _dense_recipe(3, 3), "--plus", "u^-2 + 1 + u^2", "--minus", "2u", "--steps", 210, "--out", "{out}")
+    f2 = poly(5, 2, {(1, 0): 1, (-1, 0): 1, (0, 1): 2, (0, -1): 2, (0, 0): 3})
+    add("recipe-d2-p5-T40", from_recipe(f2, LaurentPoly.constant(5, 2, 4)), "--plus", "1 + u1u2", "--minus", "u2^-1 + 2u1", "--d", 2, "--steps", 40)
     return commands
+
+
+# (p, radius, steps) of the dense CSV orbits.
+DENSE_ORBITS = (
+    (2, 4, 200),
+    (2, 2, 300),
+    (3, 2, 300),
+    (3, 4, 200),
+    (5, 3, 250),
+    (7, 2, 240),
+    (7, 4, 200),
+    (1048573, 3, 200),
+    (1048573, 2, 256),
+)
+
+
+def _dense_recipe(p: int, r: int):
+    """The recipe ((f, 1 - f h), (-1, h)), h constant, whose trace f + h has all 2r + 1 terms."""
+    from cqca import LaurentPoly, from_recipe
+
+    rng = random.Random(10 * p + r)
+    while True:
+        terms = {(0,): rng.randrange(p)}
+        for e in range(1, r + 1):
+            terms[(e,)] = terms[(-e,)] = rng.randrange(1, p)
+        h = rng.randrange(1, p)
+        if (terms[(0,)] + h) % p:
+            return from_recipe(LaurentPoly(p, 1, terms), LaurentPoly.constant(p, 1, h))
 
 
 # -- word verbs --------------------------------------------------------------------
