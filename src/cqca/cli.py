@@ -283,8 +283,11 @@ def cmd_selftest(args) -> int:
 def _emit_csv(blocks, d: int, out) -> None:
     """Write orbit blocks (see ScaMatrix.orbit_blocks) as CSV rows t,x,plus,minus.
 
-    A block is written with one join of field strings, which _fields makes
-    once per distinct value of each column.
+    A block is written as one byte buffer.  Each column's fields are
+    gathered from a fixed-width bytes table of its distinct values (see
+    _fields), a record array lays each row's fields side by side, and one
+    bytes.replace strips the NUL padding of the shorter fields: the digits,
+    signs and separators hold no NUL, so what remains is the rows' text.
     """
     out.write("t,x,plus,minus\n")
     separators = [","] + [":"] * (d - 1) + [",", ",", "\n"]
@@ -292,14 +295,12 @@ def _emit_csv(blocks, d: int, out) -> None:
         if not len(t):
             continue
         columns = [t, *cells.reshape(len(t), d).T, plus, minus]
-        rows = np.empty((len(t), len(columns)), dtype=object)
-        for k, (column, sep) in enumerate(zip(columns, separators)):
-            rows[:, k] = _fields(column, sep)
-        out.write("".join(rows.ravel().tolist()))
+        records = np.rec.fromarrays([_fields(column, sep) for column, sep in zip(columns, separators)])
+        out.write(records.tobytes().replace(b"\0", b"").decode("ascii"))
 
 
 def _fields(column, sep: str) -> np.ndarray:
-    """The strings f"{value}{sep}" of a column, each distinct value formatted once."""
+    """The fields f"{value}{sep}" of a column as NUL-padded bytes, each distinct value formatted once."""
     lo, hi = int(column.min()), int(column.max())
     # Values denser than the rows index a table of their range, with no sort.
     if column.dtype != object and hi - lo < len(column):
@@ -307,7 +308,7 @@ def _fields(column, sep: str) -> np.ndarray:
     else:
         values, index = np.unique(column, return_inverse=True)
         values = values.tolist()
-    return np.array([f"{v}{sep}" for v in values], dtype=object)[index]
+    return np.array([f"{v}{sep}".encode("ascii") for v in values])[index]
 
 
 def _ascii_window(s, xi0, steps):

@@ -20,7 +20,10 @@ and det(s) = u^2a for an automaton, so an orbit obeys
 x_{t+2} = tr(s) x_{t+1} - u^2a x_t, one convolution with the trace per
 step; orbits step that way on coefficient windows, a block at a time, and
 with apply() where the windows would not suit them (see
-ScaMatrix._orbit_recurrence).
+ScaMatrix._orbit_recurrence).  The windows hold nonnegative int64 sums and
+are reduced mod p lazily: a step reduces its state only when a bound on
+its entries would let the next step's sums reach 2^63, and each block is
+reduced once before it is read out (see _block_orbit).
 """
 
 from __future__ import annotations
@@ -166,10 +169,11 @@ class ScaMatrix:
 
         Orbits step in blocks on coefficient windows (see _block_orbit) when
         _orbit_recurrence allows it, and with apply() one slice per block
-        otherwise.  Every block is checked against the light cone of
-        radius(): a block whose slice t has a cell more than t * radius
-        outside the start support is cut before t, and InvariantViolation is
-        raised after the cut block is yielded.
+        otherwise; a zero start calls no apply() and yields empty blocks of
+        up to _BLOCK_STEPS slices.  Every block is checked against the light
+        cone of radius(): a block whose slice t has a cell more than
+        t * radius outside the start support is cut before t, and
+        InvariantViolation is raised after the cut block is yielded.
         """
         if not isinstance(xi, PhaseVector):
             raise TypeError("orbit expects a phase vector")
@@ -186,7 +190,7 @@ class ScaMatrix:
     def _orbit_recurrence(self, xi: PhaseVector, steps: int):
         """(trace, det exponent, det coefficient, lo, hi) for _block_orbit, or None.
 
-        None sends the orbit to apply(): a zero start, a hollow start (both
+        None sends the orbit to _apply_orbit: a zero start, a hollow start (both
         components together: the first window) or hollow entries (all four
         together: the growth per step), a determinant that is not a
         monomial, int64 overflow in one step, or exponents near 2^62.  lo and
@@ -217,9 +221,19 @@ class ScaMatrix:
         return trace, e, c, lo, hi
 
     def _apply_orbit(self, xi: PhaseVector, steps: int):
-        """Blocks of one slice each, of an orbit stepped with apply() on the sparse dicts."""
+        """Blocks of one slice each, of an orbit stepped with apply() on the sparse dicts.
+
+        A zero start stays zero without stepping: its blocks hold up to
+        _BLOCK_STEPS empty slices each.
+        """
         d = self.d
         dtype = coefficient_dtype(self.p)
+        if xi.is_zero():
+            empty = np.zeros(0, dtype=np.int64)
+            cells, coeffs = empty.reshape((0,) if d == 1 else (0, d)), empty.astype(dtype)
+            for t in range(0, steps + 1, _BLOCK_STEPS):
+                yield t, min(t + _BLOCK_STEPS, steps + 1), empty, cells, coeffs, coeffs
+            return
         for t in range(steps + 1):
             plus, minus = xi.plus.terms, xi.minus.terms
             keys = sorted(plus.keys() | minus.keys())
@@ -345,7 +359,7 @@ class ScaMatrix:
 # the cells of its window stay within _BLOCK_CELLS where the support allows.
 # Both bound the memory of a block and the rows rendered at once.
 _BLOCK_STEPS = 128
-_BLOCK_CELLS = 1 << 14
+_BLOCK_CELLS = 1 << 16
 
 
 def _spans(cells):
@@ -372,9 +386,18 @@ def _block_orbit(s, xi: PhaseVector, steps: int, trace, e, c, lo, hi):
     axis.  A block lays two consecutive states out on the box of their
     support, widened by b (hi - lo), with both components on one flat
     Kronecker layout (as in laurent._mul_dense).  A step is one np.convolve
-    of the trace window, plus (p - c) times the moved x_t, reduced mod p;
-    sums stay below (len(trace) + 1) p^2, inside int64.  The block yields
-    its first b states from one np.nonzero, and the next block starts from
+    of the trace window, plus (p - c) times the moved x_t.
+
+    Reductions mod p are deferred.  Every term is nonnegative (residues,
+    trace coefficients and p - c), so with S the sum of the trace
+    coefficients, row k stays below B_k = S B_{k-1} + (p - c) B_{k-2},
+    tracked as a Python int; B = p - 1 for a reduced row.  Row k is reduced
+    in place only when B_k exceeds (2^63 - 1) // (S + p - c), so every
+    unreduced input keeps the next step's sums below 2^63.  A reduced row
+    is a valid input too: _orbit_recurrence admits the trace only when
+    (len(trace) + 1) p^2 < 2^63, and (S + p - c)(p - 1) is below that.  The
+    whole block is reduced once at the end, and its first b states are
+    read out through one mask of their support; the next block starts from
     the two after them.
     """
     p, d = s.p, s.d
@@ -383,6 +406,8 @@ def _block_orbit(s, xi: PhaseVector, steps: int, trace, e, c, lo, hi):
     tr_exps = np.array(list(trace.terms), dtype=np.int64).reshape(len(trace.terms), d) - lo
     tr_coeffs = np.fromiter(trace.terms.values(), np.int64, len(trace.terms))
     det_exp = [x - 2 * a for x, a in zip(e, lo)]
+    total = sum(trace.terms.values())
+    limit = ((1 << 63) - 1) // (total + neg_c)
     # The first pair of states, on the bounding box of their support.
     x1 = s.apply(xi)
     back = tuple(-a for a in lo)
@@ -408,19 +433,28 @@ def _block_orbit(s, xi: PhaseVector, steps: int, trace, e, c, lo, hi):
         window = np.zeros(int(flat.max(initial=0)) + 1, dtype=np.int64)
         window[flat] = tr_coeffs
         shift = sum(x * y for x, y in zip(det_exp, strides))  # below n: x_t is never zero
+        bound = [p - 1, p - 1]
         for k in range(2, rows):
             row = states[k]
             row[:] = np.convolve(states[k - 1], window)[: 2 * n]
             row[shift:] += neg_c * states[k - 2, : 2 * n - shift]
-            row %= p
+            bound.append(total * bound[k - 1] + neg_c * bound[k - 2])
+            if bound[k] > limit:
+                row %= p
+                bound[k] = p - 1
+        states -= states // p * p  # as states %= p; numpy floor-divides by a scalar faster
         comps = states.reshape(rows, 2, n)
-        ti, fi = np.nonzero(comps[:b, 0] | comps[:b, 1])
+        plus, minus = comps[:b, 0], comps[:b, 1]
+        support = (plus | minus) != 0
+        found = np.flatnonzero(support)
+        ti = found // n
+        fi = found - ti * n
         t = ti + t0
         if d == 1:
             cells = fi + (origin[0] + t * lo[0])
         else:
             cells = np.stack(np.unravel_index(fi, shape), axis=1) + origin + np.outer(t, lo)
-        yield t0, t0 + b, t, cells, comps[ti, 0, fi], comps[ti, 1, fi]
+        yield t0, t0 + b, t, cells, plus[support], minus[support]
         t0 += b
         if t0 > steps:
             return

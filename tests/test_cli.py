@@ -6,6 +6,7 @@ import random
 import sys
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,7 +24,9 @@ from cqca import (
     shear_g,
     shift,
 )
+from cqca import cli
 from cqca.cli import PolyParseError, main, parse_poly
+from cqca.laurent import coefficient_dtype
 
 
 def write_matrix(tmp_path, s, name="m.json"):
@@ -571,6 +574,65 @@ def test_evolve_rejects_negative_steps(tmp_path, capsys):
     path = write_matrix(tmp_path, identity(2, 1))
     code, _, _ = run(capsys, ["evolve", path, "--plus", "1", "--steps", "-1"])
     assert code == 2
+
+
+def test_evolve_zero_start_never_applies(tmp_path, capsys, monkeypatch):
+    """A zero start stays zero: a million steps print the header and call no apply()."""
+
+    def refuse(self, xi):
+        raise AssertionError("apply() called on a zero orbit")
+
+    path = write_matrix(tmp_path, shear_g(3, 1, 1))
+    monkeypatch.setattr(ScaMatrix, "apply", refuse)
+    code, out, err = run(capsys, ["evolve", path, "--steps", "1000000"])
+    assert (code, out, err) == (0, "t,x,plus,minus\n", "")
+
+
+def csv_reference(blocks, d):
+    """The CSV of orbit blocks, one f-string per row: the reference of cli._emit_csv."""
+    lines = ["t,x,plus,minus\n"]
+    for _, _, t, cells, plus, minus in blocks:
+        for i, cell in enumerate(cells.reshape(len(t), d).tolist()):
+            lines.append(f"{t[i]},{':'.join(map(str, cell))},{plus[i]},{minus[i]}\n")
+    return "".join(lines)
+
+
+def synthetic_block(rng, d, p, values):
+    """An orbit block with the given cell values (rows * d of them), sorted t and random coefficients."""
+    rows = len(values) // d
+    try:
+        cells = np.array(values, dtype=np.int64)
+    except OverflowError:
+        cells = np.array(values, dtype=object)
+    cells = cells.reshape(rows, d)
+    t = np.sort(np.array([rng.randrange(40) for _ in range(rows)], dtype=np.int64))
+    plus, minus = (np.array([rng.randrange(p) for _ in range(rows)], dtype=coefficient_dtype(p)) for _ in "+-")
+    return 0, 40, t, cells[:, 0] if d == 1 else cells, plus, minus
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("p", [2, 7, 10**18 + 3, 4611686018427388039])
+def test_emit_csv_matches_per_row_reference(d, p):
+    """The byte-record renderer writes what one f-string per row writes.
+
+    Blocks are empty, one row long or longer; cells are dense in a small
+    range (the range table) or sparse over int64 and beyond it (np.unique),
+    negative ones included; coefficients are int64 (p = 10^18 + 3) or
+    Python ints (p = 4611686018427388039).
+    """
+    rng = random.Random(p * 10 + d)
+    ranges = [(-9, 9), (-5000, 5000), (-(2**63), 2**63 - 1), (-(2**70), 2**66)]
+    blocks = [synthetic_block(rng, d, p, [])]
+    for lo, hi in ranges:
+        for rows in (1, 2, 7, 300):
+            mid = rng.randint(lo, hi - 8)
+            dense = [rng.randint(mid, mid + 8) for _ in range(rows * d)]
+            sparse = [rng.randint(lo, hi) for _ in range(rows * d)]
+            blocks += [synthetic_block(rng, d, p, dense), synthetic_block(rng, d, p, sparse)]
+    blocks.append(synthetic_block(rng, d, p, [-(2**63), -1, 0, 2**63 - 1, -10, 10] * d))
+    out = io.StringIO()
+    cli._emit_csv(iter(blocks), d, out)
+    assert out.getvalue() == csv_reference(blocks, d)
 
 
 # -- phase / selftest -------------------------------------------------------------------

@@ -106,6 +106,17 @@ def test_orbit_matches_apply_stepping():
         recipe = from_recipe(full, LaurentPoly.constant(q, 1, q - 1))
         cases.append((recipe, PhaseVector(full, full), 6, True))
         cases.append((ScaMatrix(full, full, full, full), PhaseVector(full, full), 6, False))
+    # Reduction cadence: traces with every coefficient nonzero.  At p = 2,
+    # radius 4 (S = 9, p - c = 1) and p = 3, radius 1 (S = 6, p - c = 2) the
+    # bound allows the longest runs of unreduced steps, and a block holds
+    # every step; at p = 1048573 every step is reduced.
+    ones = poly(2, {e: 1 for e in range(-4, 5) if e})
+    cases.append((from_recipe(ones, LaurentPoly.one(2, 1)), PhaseVector(poly(2, {0: 1, 1: 1}), poly(2, {-1: 1})), 60, True))
+    twos = poly(3, {-1: 2, 0: 1, 1: 2})
+    cases.append((from_recipe(twos, LaurentPoly.constant(3, 1, 1)), PhaseVector(poly(3, {0: 2}), poly(3, {1: 1})), 100, True))
+    q = 1048573
+    wide = poly(q, {e: q - 1 - abs(e) for e in range(-3, 4)})
+    cases.append((from_recipe(wide, LaurentPoly.constant(q, 1, 5)), PhaseVector(wide, poly(q, {2: 7})), 40, True))
     cases.append((shear_g(3, 2, 1), PhaseVector.e_plus(3), 0, True))
     # The windows move with a shift, however far it goes in one step.
     cases.append((shift(3, 1, 2**31), PhaseVector(poly(3, {0: 1, 1: 2}), poly(3, {5: 1})), 3, True))
