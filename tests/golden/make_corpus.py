@@ -185,6 +185,9 @@ def evolve_commands() -> list:
     add("dense-p3-r3-out", _dense_recipe(3, 3), "--plus", "u^-2 + 1 + u^2", "--minus", "2u", "--steps", 210, "--out", "{out}")
     f2 = poly(5, 2, {(1, 0): 1, (-1, 0): 1, (0, 1): 2, (0, -1): 2, (0, 0): 3})
     add("recipe-d2-p5-T40", from_recipe(f2, LaurentPoly.constant(5, 2, 4)), "--plus", "1 + u1u2", "--minus", "u2^-1 + 2u1", "--d", 2, "--steps", 40)
+    # Start vectors in every spelling the parser accepts or rejects.
+    for name, text, d in _texts():
+        add(name, shift(3, d, 1 if d == 1 else (1,) * d), "--plus", text, "--minus", "1", "--steps", 2)
     return commands
 
 
@@ -298,7 +301,10 @@ def _unary_commands(verb: str) -> list:
 
 
 def verify_commands() -> list:
-    return _unary_commands("verify")
+    commands = _unary_commands("verify")
+    for name, text, d in _texts():
+        commands.append({"id": f"verify-{name}", "argv": ["verify", "{m}"], "files": {"m": _text_matrix(text, d)}})
+    return commands
 
 
 def classify_commands() -> list:
@@ -335,6 +341,10 @@ def compose_commands() -> list:
     add("mixed-rings", sample, dict(words)["p5-len16"].to_json_dict())
     add("wrong-p", sample, sample, "--p", "5")
     add("wrong-d", sample, sample, "--d", "2")
+    # The parser's texts as the left factor of a product with the identity,
+    # so the output shows what each valid text parsed to.
+    for name, text, d in _texts():
+        add(name, _text_matrix(text, d), {"p": 3, "d": d, "entries": [["1", "0"], ["0", "1"]]})
     return commands
 
 
@@ -434,7 +444,67 @@ def recipe_commands() -> list:
     add("p-one", 1, "1", "1")
     commands.append({"id": "recipe-missing-p", "argv": ["recipe", "--f", "1", "--h", "1"]})
     commands.append({"id": "recipe-missing-h", "argv": ["recipe", "--p", "3", "--f", "1"]})
+    for name, text, d in _texts():
+        add(name, 3, text, "1", d=d)
     return commands
+
+
+# -- polynomial texts ----------------------------------------------------------------
+
+# (name, text, d): every PolyParseError message at least once, at the start,
+# middle and end of the text, and valid texts in unusual spellings.
+BAD_TEXTS = (
+    ("empty", "", 1),
+    ("blank", " \t\n", 1),
+    ("no-sign", "2 3", 1),
+    ("no-sign-after-factor", "u^2 u 1", 1),
+    ("junk", "1 + u @", 1),
+    ("junk-first", "@", 1),
+    ("superscript", "u^²", 1),
+    ("term-missing", "1 + ", 1),
+    ("sign-sign", "+-u", 1),
+    ("one-variable-index", "1 + u2", 1),
+    ("index-out-of-range", "u1 + u3", 2),
+    ("index-zero", "u0^2", 2),
+    ("index-long", "u1 + u00000000000000000002u12", 2),
+    ("index-missing", "1 + u^2", 2),
+    ("exponent-missing-end", "u^", 1),
+    ("exponent-missing-space-end", "2u^ ", 1),
+    ("exponent-missing", "u^ + 1", 1),
+    ("exponent-sign-only", "u^-", 1),
+    ("exponent-space-after-sign", "u^- 2", 1),
+    ("exponent-beyond", "u^2147483649", 1),
+    ("exponent-beyond-negative", "1 + u^-99999999999", 1),
+    ("exponent-beyond-d2", "u2^-2147483649u1", 2),
+    ("exponent-accumulated", "u^2147483648 u", 1),
+    ("exponent-accumulated-d2", "u1 u2^-2147483648 u2^-1", 2),
+    ("coefficient-too-long", "1 + " + "7" * (sys.get_int_max_str_digits() + 1), 1),
+)
+GOOD_TEXTS = (
+    ("whitespace", "\t1 +\x0bu^-1\x1c+ u", 1),
+    ("whitespace-inside", "2 u ^ -3 - u ^+2", 1),
+    ("leading-sign", "- u + 2", 1),
+    ("leading-plus", "+ 3u^-2 + u", 1),
+    ("plus-exponent", "u^+4 + u^-4", 1),
+    ("cancelling", "u + 2u^3 + 2u - u^3 + u^3", 1),
+    ("leading-zeros", "007u + 0002 + u^-003", 1),
+    ("negative-zero-exponent", "u^-0 + 1", 1),
+    ("far-exponents", "u^2147483648 + u^-2147483648", 1),
+    ("long-coefficient", "1" * 40 + "u + " + "0" * 5000 + "2", 1),
+    ("repeated-factor", "u u^2 + u^-1u", 1),
+    ("d2-spaces", "u1 u2^-1 + 2 u2", 2),
+    ("d2-unordered", "u2u1 + 3u1^2u1^-1", 2),
+    ("d2-leading-zero-index", "u01 + u2", 2),
+)
+
+
+def _texts():
+    return [(f"parse-{name}", text, d) for name, text, d in BAD_TEXTS + GOOD_TEXTS]
+
+
+def _text_matrix(text: str, d: int) -> dict:
+    """A matrix at p = 3 whose first entry is the text."""
+    return {"p": 3, "d": d, "entries": [[text, "0"], ["0", "1"]]}
 
 
 BUILDERS = {
