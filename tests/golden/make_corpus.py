@@ -9,13 +9,18 @@ commands, each run in-process through cqca.cli.main.  A command holds
     argv         the arguments; an argument "{name}" is replaced by the path
                  of the input file `name`, and "{out}" by the path of an
                  output file
-    files        input files by name, as JSON objects (matrices)
+    files        input files by name: a JSON object (a matrix) is written as
+                 JSON, a string as it stands, and a list of [text, count]
+                 pairs as each text repeated count times
     radius       optional: ScaMatrix.radius() returns this value while the
                  command runs, which makes the orbit light-cone check fire
     sha256       SHA-256 of the --out file when argv holds "{out}", of
                  stdout otherwise
     exit         the exit code
     stderr_last  the last line of stderr, or ""
+
+An exception that escapes cli.main counts as a crash of the command: exit 1
+with the exception's own line last on stderr, as the interpreter prints it.
 
 tests/test_golden.py runs every command of every corpus file and compares
 all three results.  Adding a verb means adding a builder to BUILDERS.
@@ -32,6 +37,7 @@ import os
 import random
 import sys
 import tempfile
+import traceback
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 
@@ -49,7 +55,12 @@ def run_command(command: dict, workdir: str) -> dict:
     for name, obj in command.get("files", {}).items():
         paths[name] = os.path.join(workdir, f"{name}.json")
         with open(paths[name], "w", encoding="utf-8") as fh:
-            json.dump(obj, fh)
+            if isinstance(obj, dict):
+                json.dump(obj, fh)
+            elif isinstance(obj, str):
+                fh.write(obj)
+            else:
+                fh.write("".join(text * count for text, count in obj))
     if os.path.exists(paths["out"]):
         os.remove(paths["out"])
     argv = [paths[a[1:-1]] if a[:1] == "{" and a[-1:] == "}" else a for a in command["argv"]]
@@ -65,6 +76,9 @@ def run_command(command: dict, workdir: str) -> dict:
                 code = cli.main(argv)
             except SystemExit as exc:  # argparse rejections
                 code = exc.code
+            except Exception as exc:  # a crash: what the interpreter would print last
+                stderr.write("".join(traceback.format_exception_only(exc)))
+                code = 1
         text.flush()
     finally:
         sca.ScaMatrix.radius = radius
@@ -300,15 +314,46 @@ def _unary_commands(verb: str) -> list:
     return commands
 
 
+# (name, file text) of matrix files whose p or d is not a JSON integer, or
+# whose nesting is deeper than the JSON decoder's recursion limit.
+_ENTRIES = '"entries": [["1", "0"], ["u + u^-1", "1"]]'
+ODD_FILES = (
+    ("p-huge-float", '{"p": 1e400, "d": 1, ' + _ENTRIES + "}"),
+    ("p-infinity", '{"p": Infinity, "d": 1, ' + _ENTRIES + "}"),
+    ("p-d-floats", '{"p": 3.7, "d": 1.9, ' + _ENTRIES + "}"),
+    ("p-integral-float", '{"p": 3.0, "d": 1, ' + _ENTRIES + "}"),
+    ("p-true", '{"p": true, "d": 1, ' + _ENTRIES + "}"),
+    ("d-true", '{"p": 3, "d": true, ' + _ENTRIES + "}"),
+    ("d-false", '{"p": 3, "d": false, ' + _ENTRIES + "}"),
+    ("p-string", '{"p": "3", "d": 1, ' + _ENTRIES + "}"),
+    ("d-string", '{"p": 3, "d": "1", ' + _ENTRIES + "}"),
+    ("p-null", '{"p": null, "d": 1, ' + _ENTRIES + "}"),
+    ("d-list", '{"p": 3, "d": [1], ' + _ENTRIES + "}"),
+    ("d-nan", '{"p": 3, "d": NaN, ' + _ENTRIES + "}"),
+    ("d-zero", '{"p": 3, "d": 0, ' + _ENTRIES + "}"),
+    ("p-negative", '{"p": -3, "d": 1, ' + _ENTRIES + "}"),
+    ("p-big-int", '{"p": 1000000000000000003, "d": 1, ' + _ENTRIES + "}"),
+    ("nested-500", [["[", 500], ["]", 500]]),
+    ("too-deep", [["[", 200000], ["]", 200000]]),
+    ("too-deep-entries", [['{"p": 3, "d": 1, "entries": ', 1], ["[", 100000], ["]", 100000], ["}", 1]]),
+)
+
+
 def verify_commands() -> list:
     commands = _unary_commands("verify")
+    for name, text in ODD_FILES:
+        commands.append({"id": f"verify-{name}", "argv": ["verify", "{m}"], "files": {"m": text}})
     for name, text, d in _texts():
         commands.append({"id": f"verify-{name}", "argv": ["verify", "{m}"], "files": {"m": _text_matrix(text, d)}})
     return commands
 
 
 def classify_commands() -> list:
-    return _unary_commands("classify")
+    commands = _unary_commands("classify")
+    for name, text in ODD_FILES:
+        if name in ("p-huge-float", "p-d-floats", "p-true", "too-deep"):
+            commands.append({"id": f"classify-{name}", "argv": ["classify", "{m}"], "files": {"m": text}})
+    return commands
 
 
 def invert_commands() -> list:
