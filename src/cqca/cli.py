@@ -26,7 +26,9 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import itertools
 import json
+import operator
 import re
 import sys
 
@@ -51,9 +53,97 @@ class PolyParseError(ValueError):
         self.offset = offset
 
 
+# Valid text is decoded in bulk.  One match of the whole text against the
+# grammar (_grammar) validates it; string replacements then turn it into a JSON
+# array of one object per term, {"c": coefficient, "<k>": exponent of u_k, ...},
+# which the C JSON decoder reads in one call (_decode).  The term loop
+# (_scan_terms) runs only on text the bulk decoder rejects, and reports the
+# first error at its offset.
+_LEADING_ZEROS = re.compile(r"(?<![0-9])0+(?=[0-9])")
+_INDEX_ZEROS = re.compile(r"u0+")
+_COEFFICIENT = operator.itemgetter("c")
+
+
+@functools.cache
+def _grammar(d: int):
+    """The whole-text grammar for d variables, the replacements that spell a
+    term's factors as JSON members, and the member names of the d exponents."""
+    names = ["u"] if d == 1 else [f"u{k}" for k in range(d, 0, -1)]
+    var = "u" if d == 1 else "u0*+(?:" + "|".join(name[1:] for name in names) + ")"
+    factor = rf"{var}(?![0-9])\s*+(?:\^\s*+[+-]?+[0-9]++\s*+)?+"
+    term = rf"(?:[0-9]++\s*+(?:{factor})*+|(?:{factor})++)"
+    grammar = re.compile(rf"\s*+[+-]?+\s*+{term}(?:[+-]\s*+{term})*+")
+    keys = [name[1:] or "1" for name in names]
+    # Longer names first, so that u1 never rewrites the start of u12.
+    replacements = []
+    for name, key in zip(names, keys):
+        replacements += [(name + "^", f',"{key}":'), (name, f',"{key}":1')]
+    return grammar, replacements, keys[::-1]
+
+
+def _decode(text: str, d: int):
+    """The {exponent tuple: coefficient} terms of the text, or None if it is
+    not in the grammar, has an exponent beyond +-2^31 (alone or accumulated
+    within a term) or a number past the int digit limit."""
+    grammar, replacements, keys = _grammar(d)
+    if not grammar.fullmatch(text):
+        return None
+    s = "".join(text.split())
+    if s[0] not in "+-":
+        s = "+" + s
+    if "u0" in s:
+        s = _INDEX_ZEROS.sub("u", s)
+    s = s.replace("^+", "^").replace("^-", "^~").replace("+u", "+1u").replace("-u", "-1u")
+    s = s.replace("+", '},{"c":').replace("-", '},{"c":-').replace("~", "-")
+    for old, new in replacements:
+        s = s.replace(old, new)
+    s = "[" + s[2:] + "}]"
+    parts = _json_array(s)
+    # A variable repeated within a term leaves fewer members than factors.
+    if parts is not None and sum(map(len, parts)) != len(parts) + text.count("u"):
+        parts = _json_array(s, _sum_members)
+    if parts is None:
+        return None
+    n = len(parts)
+    columns = [list(map(dict.get, parts, itertools.repeat(key, n), itertools.repeat(0, n))) for key in keys]
+    if any(max(column) > _EXP_LIMIT or min(column) < -_EXP_LIMIT for column in columns):
+        return None
+    exponents = list(zip(*columns))
+    coefficients = list(map(_COEFFICIENT, parts))
+    terms = dict(zip(exponents, coefficients))
+    if len(terms) < n:  # repeated exponents: sum them in text order
+        terms = {}
+        for key, c in zip(exponents, coefficients):
+            terms[key] = terms.get(key, 0) + c
+    return terms
+
+
+def _json_array(s: str, object_pairs_hook=None):
+    """The decoded JSON array, retried without leading zeros (which JSON
+    forbids); None if it still fails."""
+    for _ in range(2):
+        try:
+            return json.loads(s, object_pairs_hook=object_pairs_hook)
+        except ValueError:  # leading zeros, an int past the digit limit, or _sum_members
+            s = _LEADING_ZEROS.sub("", s)
+    return None
+
+
+def _sum_members(pairs) -> dict:
+    """A term object whose repeated variables add up; ValueError once an
+    exponent or a partial sum passes +-2^31, as the term loop reports it."""
+    members = {}
+    for key, value in pairs:
+        total = value + members.get(key, 0)
+        if key != "c" and not (-_EXP_LIMIT <= value <= _EXP_LIMIT and -_EXP_LIMIT <= total <= _EXP_LIMIT):
+            raise ValueError(f"exponent of u{key} is beyond +-2^31")
+        members[key] = total
+    return members
+
+
 # One term: its sign, coefficient and first variable factor with an optional
 # exponent.  Every part may match empty, so a match at any offset succeeds;
-# parse_poly and _factor turn empty parts into errors at their offsets.
+# _scan_terms and _factor turn empty parts into errors at their offsets.
 # Further factors of the same term match _FACTOR.
 _TERM = re.compile(r"\s*([+-]?)\s*([0-9]*)\s*(?:u([0-9]*)\s*(?:\^\s*([+-]?)([0-9]*))?)?")
 _FACTOR = re.compile(r"\s*u([0-9]*)\s*(?:\^\s*([+-]?)([0-9]*))?")
@@ -61,6 +151,17 @@ _FACTOR = re.compile(r"\s*u([0-9]*)\s*(?:\^\s*([+-]?)([0-9]*))?")
 
 def parse_poly(text: str, p: int, d: int = 1) -> LaurentPoly:
     """Parse a polynomial string; raises PolyParseError with a character offset."""
+    terms = _decode(text, d)
+    if terms is None:
+        terms = _scan_terms(text, d)
+    _check_ring(p, d)
+    if min(terms.values()) > 0 and max(terms.values()) < p:  # already reduced, as rendered text is
+        return LaurentPoly._raw(p, d, terms)
+    return LaurentPoly._raw(p, d, {key: c % p for key, c in terms.items() if c % p})
+
+
+def _scan_terms(text: str, d: int) -> dict:
+    """The terms of the text read one at a time; raises PolyParseError at the first error."""
     terms = {}
     pos = 0
     while True:
@@ -99,13 +200,7 @@ def parse_poly(text: str, p: int, d: int = 1) -> LaurentPoly:
                 factor, group = _FACTOR.match(text, pos), 1
         key = tuple(exponents)
         terms[key] = terms.get(key, 0) + (-coeff if sign == "-" else coeff)
-    _check_ring(p, d)
-    canonical = {}
-    for key, c in terms.items():
-        c %= p
-        if c:
-            canonical[key] = c
-    return LaurentPoly._raw(p, d, canonical)
+    return terms
 
 
 def _factor(m, g, text: str, d: int):

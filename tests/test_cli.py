@@ -254,7 +254,10 @@ poly_texts = st.one_of(st.text(alphabet="u^+-0123456789 \t\n@x*.", max_size=16),
 @settings(max_examples=1000)
 @given(poly_texts, st.sampled_from((2, 3, 5)), st.sampled_from((1, 2, 3)))
 def test_parse_poly_matches_the_scanner_reference(text, p, d):
-    assert parse_outcome(parse_poly, text, p, d) == parse_outcome(scanner_parse_poly, text, p, d)
+    want = parse_outcome(scanner_parse_poly, text, p, d)
+    assert parse_outcome(parse_poly, text, p, d) == want
+    if isinstance(want, LaurentPoly):  # valid text decodes in bulk
+        assert cli._decode(text, d) is not None
 
 
 def test_parse_poly_matches_the_scanner_reference_on_edge_cases():
@@ -267,6 +270,94 @@ def test_parse_poly_matches_the_scanner_reference_on_edge_cases():
         for d in (1, 2, 3):
             got = parse_outcome(parse_poly, text, 3, d)
             assert got == parse_outcome(scanner_parse_poly, text, 3, d), (text, d)
+
+
+LONG_SPACES = ("", "", "", " ", " ", "\t", "\x0b", "\x1c", "\n", "  ")
+FAR_EXPONENTS = (2**31, -(2**31), 2**31 + 1, -(2**31 + 1))
+
+
+def long_poly_text(rng, p: int, d: int) -> str:
+    """A polynomial of 50-300 terms as a user might write it: whitespace
+    anywhere the grammar allows it, signs, coefficients of up to 40 digits,
+    leading zeros, exponents at and past +-2^31, variables repeated within a
+    term, and sometimes one junk character at a random offset."""
+    far = rng.random() < 0.3
+
+    def space():
+        return rng.choice(LONG_SPACES)
+
+    def factor():
+        var = "u" if d == 1 else f"u{rng.choice((1, 2))}"
+        if rng.random() < 0.2:
+            return var + space()
+        e = rng.choice(FAR_EXPONENTS) if far and rng.random() < 0.02 else rng.randint(-150, 150)
+        digits = ("00" if rng.random() < 0.03 else "") + str(abs(e))
+        sign = "-" if e < 0 else rng.choice(("", "", "", "+"))
+        return var + space() + "^" + space() + sign + digits + space()
+
+    terms = []
+    for i in range(rng.randint(50, 300)):
+        sign = rng.choice(("", "+", "-")) if i == 0 else rng.choice(("+", "+", "-"))
+        coeff = rng.choice(("", "", str(rng.randrange(1, p)), str(rng.randrange(2**63, 10**40)), "007"))
+        factors = "".join(factor() for _ in range(rng.choice((0, 1, 1, 1, 2) if d == 1 else (0, 1, 2, 2, 3))))
+        terms.append(space() + sign + space() + (coeff or ("" if factors else "1")) + space() + factors)
+    text = "".join(terms)
+    if rng.random() < 0.3:
+        at = rng.randrange(len(text) + 1)
+        text = text[:at] + rng.choice("@*x_.^u+-0 ") + text[at:]
+    return text
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**64), st.sampled_from((2, 5, 2**31 - 1)), st.sampled_from((1, 2)))
+def test_parse_poly_matches_the_scanner_reference_on_long_texts(seed, p, d):
+    """Entry-sized texts: the bulk decoder and the term loop give the scanner's
+    polynomial or its error, and every text the scanner accepts decodes in bulk."""
+    text = long_poly_text(random.Random(seed), p, d)
+    want = parse_outcome(scanner_parse_poly, text, p, d)
+    assert parse_outcome(parse_poly, text, p, d) == want
+    if isinstance(want, LaurentPoly):
+        assert cli._decode(text, d) is not None
+
+
+def golden_texts():
+    """(text, d) of every polynomial in the golden corpus: the matrix entries
+    and the polynomial flags of evolve and recipe."""
+    from pathlib import Path
+
+    texts = set()
+    for path in (Path(__file__).parent / "golden").glob("*.json"):
+        for command in json.loads(path.read_text(encoding="utf-8")):
+            argv = command["argv"]
+            d = int(argv[argv.index("--d") + 1]) if "--d" in argv else 1
+            for obj in command.get("files", {}).values():
+                if isinstance(obj, dict) and type(obj.get("d")) is int and obj["d"] >= 1:
+                    d = obj["d"]
+                    texts.update((entry, d) for row in obj["entries"] for entry in row)
+            for flag in ("--plus", "--minus", "--f", "--h", "--fp", "--hp"):
+                if flag in argv:
+                    texts.add((argv[argv.index(flag) + 1], d))
+    return sorted(texts)
+
+
+def test_valid_golden_texts_never_reach_the_term_loop(monkeypatch):
+    """Every polynomial of the golden corpus that parses does so in bulk: the
+    term loop only reports errors."""
+    texts = golden_texts()
+    parsed = {}
+    for text, d in texts:
+        try:
+            parsed[text, d] = parse_poly(text, 3, d)
+        except PolyParseError:
+            pass
+
+    def refuse(text, d):
+        raise AssertionError(f"valid text reached the term loop: {text!r}")
+
+    monkeypatch.setattr(cli, "_scan_terms", refuse)
+    assert len(parsed) > 400 and len(parsed) < len(texts)
+    for (text, d), poly in parsed.items():
+        assert parse_poly(text, 3, d) == poly
 
 
 # -- verify / classify --------------------------------------------------------------
