@@ -240,15 +240,19 @@ def _read_text(path: str) -> str:
 
 
 def load_matrix(path: str, p_flag=None, d_flag=None) -> sca.ScaMatrix:
-    obj = json.loads(_read_text(path))
+    try:
+        obj = json.loads(_read_text(path))
+    except RecursionError as exc:  # nesting deeper than the decoder's recursion limit
+        raise ValueError(f"bad JSON: {exc}") from None
     if not isinstance(obj, dict):
         raise ValueError("matrix JSON must be an object")
     try:
-        p = int(obj["p"])
-        d = int(obj["d"])
-        entries = obj["entries"]
+        p, d, entries = obj["p"], obj["d"], obj["entries"]
     except KeyError as exc:
         raise ValueError(f"matrix JSON is missing key {exc}") from None
+    for name, value in (("p", p), ("d", d)):
+        if type(value) is not int:  # not a float, string or boolean
+            raise ValueError(f"matrix JSON {name} must be an integer, got {json.dumps(value)}")
     if p_flag is not None and p_flag != p:
         raise ValueError(f"--p {p_flag} disagrees with matrix JSON p = {p}")
     if d_flag is not None and d_flag != d:
@@ -376,7 +380,7 @@ def cmd_selftest(args) -> int:
 
 
 def _emit_csv(blocks, d: int, out) -> None:
-    """Write orbit blocks (see ScaMatrix.orbit_blocks) as CSV rows t,x,plus,minus.
+    """Write orbit blocks (see ScaMatrix.orbit_blocks) as CSV rows t,x,plus,minus to a binary sink.
 
     A block is written as one byte buffer.  Each column's fields are
     gathered from a fixed-width bytes table of its distinct values (see
@@ -384,14 +388,14 @@ def _emit_csv(blocks, d: int, out) -> None:
     bytes.replace strips the NUL padding of the shorter fields: the digits,
     signs and separators hold no NUL, so what remains is the rows' text.
     """
-    out.write("t,x,plus,minus\n")
+    out.write(b"t,x,plus,minus\n")
     separators = [","] + [":"] * (d - 1) + [",", ",", "\n"]
     for _, _, t, cells, plus, minus in blocks:
         if not len(t):
             continue
         columns = [t, *cells.reshape(len(t), d).T, plus, minus]
         records = np.rec.fromarrays([_fields(column, sep) for column, sep in zip(columns, separators)])
-        out.write(records.tobytes().replace(b"\0", b"").decode("ascii"))
+        out.write(records.tobytes().replace(b"\0", b""))
 
 
 def _fields(column, sep: str) -> np.ndarray:
@@ -429,7 +433,7 @@ _PGM_MAX_PIXELS = 1 << 24
 
 def _emit_ascii(blocks, lo: int, hi: int, out) -> None:
     for grid in _grid_rows(blocks, lo, hi, _ASCII_GLYPHS):
-        out.write("".join(row.tobytes().decode("ascii") + "\n" for row in grid))
+        out.write(b"".join(row.tobytes() + b"\n" for row in grid))
 
 
 def _emit_pgm(blocks, lo: int, hi: int, steps: int, out) -> None:
@@ -463,13 +467,7 @@ def cmd_evolve(args) -> int:
         raise ValueError(
             f"pgm image of {width} x {steps + 1} pixels exceeds {_PGM_MAX_PIXELS}"
         )
-    stdout = sys.stdout.buffer if fmt == "pgm" else sys.stdout
-    if not args.out:
-        sink = contextlib.nullcontext(stdout)
-    elif fmt == "pgm":
-        sink = open(args.out, "wb")
-    else:
-        sink = open(args.out, "w", encoding="utf-8")
+    sink = open(args.out, "wb") if args.out else contextlib.nullcontext(sys.stdout.buffer)
     with sink as out:
         blocks = s.orbit_blocks(xi0, steps)
         if fmt == "csv":
@@ -479,7 +477,7 @@ def cmd_evolve(args) -> int:
         else:
             _emit_pgm(blocks, lo, hi, steps, out)
     if not args.out:
-        stdout.flush()
+        sys.stdout.buffer.flush()
     return 0
 
 

@@ -721,9 +721,9 @@ def test_emit_csv_matches_per_row_reference(d, p):
             sparse = [rng.randint(lo, hi) for _ in range(rows * d)]
             blocks += [synthetic_block(rng, d, p, dense), synthetic_block(rng, d, p, sparse)]
     blocks.append(synthetic_block(rng, d, p, [-(2**63), -1, 0, 2**63 - 1, -10, 10] * d))
-    out = io.StringIO()
+    out = io.BytesIO()
     cli._emit_csv(iter(blocks), d, out)
-    assert out.getvalue() == csv_reference(blocks, d)
+    assert out.getvalue() == csv_reference(blocks, d).encode("ascii")
 
 
 # -- phase / selftest -------------------------------------------------------------------
