@@ -17,8 +17,9 @@ coefficients reduced to [0, p).
 
 Exit codes: 0 success, 1 domain rejection (non-symplectic input, failed
 validation, a broken runtime invariant), 2 malformed input (syntax errors,
-bad JSON, flag/JSON disagreement, moduli beyond the primality cap, pgm
-images over _PGM_MAX_PIXELS, phase checks over COCYCLE_CELL_BUDGET).
+bad JSON, a p or d that is not a JSON integer, flag/JSON disagreement,
+moduli beyond the primality cap, pgm images over _PGM_MAX_PIXELS, phase
+checks over COCYCLE_CELL_BUDGET).
 """
 
 from __future__ import annotations
