@@ -89,15 +89,19 @@ def _decode(text: str, d: int):
     grammar, replacements, keys = _grammar(d)
     if not grammar.fullmatch(text):
         return None
-    s = "".join(text.split())
+    s = text.replace(" ", "")
+    if not s.isprintable():  # whitespace other than spaces
+        s = "".join(s.split())
     if s[0] not in "+-":
         s = "+" + s
     if "u0" in s:
         s = _INDEX_ZEROS.sub("u", s)
-    s = s.replace("^+", "^").replace("^-", "^~").replace("+u", "+1u").replace("-u", "-1u")
-    s = s.replace("+", '},{"c":').replace("-", '},{"c":-').replace("~", "-")
+    s = s.replace("+u", "+1u").replace("-u", "-1u")
     for old, new in replacements:
         s = s.replace(old, new)
+    # Every sign now starts a term, but a sign right after a member name is
+    # the exponent's own.
+    s = s.replace("+", '},{"c":').replace("-", '},{"c":-').replace(':},{"c":', ":")
     s = "[" + s[2:] + "}]"
     parts = _json_array(s)
     # A variable repeated within a term leaves fewer members than factors.
