@@ -73,7 +73,10 @@ def _grammar(d: int):
     var = "u" if d == 1 else "u0*+(?:" + "|".join(name[1:] for name in names) + ")"
     factor = rf"{var}(?![0-9])\s*+(?:\^\s*+[+-]?+[0-9]++\s*+)?+"
     term = rf"(?:[0-9]++\s*+(?:{factor})*+|(?:{factor})++)"
-    grammar = re.compile(rf"\s*+[+-]?+\s*+{term}(?:[+-]\s*+{term})*+")
+    pattern = rf"\s*+[+-]?+\s*+{term}(?:[+-]\s*+{term})*+"
+    if sys.version_info < (3, 11):  # no possessive quantifiers: the same language, with backtracking
+        pattern = re.sub(r"([*+?])\+", r"\1", pattern)
+    grammar = re.compile(pattern)
     keys = [name[1:] or "1" for name in names]
     # Longer names first, so that u1 never rewrites the start of u12.
     replacements = []
@@ -110,7 +113,9 @@ def _decode(text: str, d: int):
     if parts is None:
         return None
     n = len(parts)
-    columns = [list(map(dict.get, parts, itertools.repeat(key, n), itertools.repeat(0, n))) for key in keys]
+    columns = [
+        list(map(dict.get, parts, itertools.repeat(key, n), itertools.repeat(0, n))) for key in keys
+    ]
     if any(max(column) > _EXP_LIMIT or min(column) < -_EXP_LIMIT for column in columns):
         return None
     exponents = list(zip(*columns))
