@@ -145,7 +145,7 @@ def _sum_members(pairs) -> dict:
     members = {}
     for key, value in pairs:
         total = value + members.get(key, 0)
-        if key != "c" and not (-_EXP_LIMIT <= value <= _EXP_LIMIT and -_EXP_LIMIT <= total <= _EXP_LIMIT):
+        if key != "c" and not (abs(value) <= _EXP_LIMIT and abs(total) <= _EXP_LIMIT):
             raise ValueError(f"exponent of u{key} is beyond +-2^31")
         members[key] = total
     return members
