@@ -70,13 +70,14 @@ def _grammar(d: int):
     """The whole-text grammar for d variables, the replacements that spell a
     term's factors as JSON members, and the member names of the d exponents."""
     names = ["u"] if d == 1 else [f"u{k}" for k in range(d, 0, -1)]
-    var = "u" if d == 1 else "u0*+(?:" + "|".join(name[1:] for name in names) + ")"
-    factor = rf"{var}(?![0-9])\s*+(?:\^\s*+[+-]?+[0-9]++\s*+)?+"
-    term = rf"(?:[0-9]++\s*+(?:{factor})*+|(?:{factor})++)"
-    pattern = rf"\s*+[+-]?+\s*+{term}(?:[+-]\s*+{term})*+"
-    if sys.version_info < (3, 11):  # no possessive quantifiers: the same language, with backtracking
-        pattern = re.sub(r"([*+?])\+", r"\1", pattern)
-    grammar = re.compile(pattern)
+    var = "u" if d == 1 else "u0*(?:" + "|".join(name[1:] for name in names) + ")"
+    # Every character has one place in a match: each whitespace run belongs to
+    # one \s*, and each repetition starts with a character of its own (a digit,
+    # 'u' or a sign).  So a failing match backtracks through each choice once,
+    # in time linear in the text.
+    factor = rf"{var}(?![0-9])\s*(?:\^\s*[+-]?[0-9]+\s*)?"
+    term = rf"(?:[0-9]+\s*(?:{factor})*|(?:{factor})+)"
+    grammar = re.compile(rf"\s*(?:[+-]\s*)?{term}(?:[+-]\s*{term})*")
     keys = [name[1:] or "1" for name in names]
     # Longer names first, so that u1 never rewrites the start of u12.
     replacements = []
@@ -165,8 +166,6 @@ def parse_poly(text: str, p: int, d: int = 1) -> LaurentPoly:
     if terms is None:
         terms = _scan_terms(text, d)
     _check_ring(p, d)
-    if min(terms.values()) > 0 and max(terms.values()) < p:  # already reduced, as rendered text is
-        return LaurentPoly._raw(p, d, terms)
     return LaurentPoly._raw(p, d, {key: c % p for key, c in terms.items() if c % p})
 
 

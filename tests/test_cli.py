@@ -272,6 +272,22 @@ def test_parse_poly_matches_the_scanner_reference_on_edge_cases():
             assert got == parse_outcome(scanner_parse_poly, text, 3, d), (text, d)
 
 
+def test_parse_poly_matches_the_scanner_reference_on_long_runs():
+    """Long runs of whitespace, signs or factors before junk: the grammar
+    match fails in time linear in the text, so these finish at once, with the
+    scanner's error."""
+    n = 50000
+    cases = (
+        " " * n + "@", "\t" * n + "-" + " " * n + "@", " " * n + "u" + " " * n + "@",
+        "u^" + " " * n + "-" + " " * n + "1", "1" + " u" * n + "@", "+u^1" * n + "@",
+        " " * n, "u" + "\x1c" * n + "^2",
+    )
+    for text in cases:
+        for d in (1, 2):
+            got = parse_outcome(parse_poly, text, 3, d)
+            assert got == parse_outcome(scanner_parse_poly, text, 3, d), (text[:20], d)
+
+
 LONG_SPACES = ("", "", "", " ", " ", "\t", "\x0b", "\x1c", "\n", "  ")
 FAR_EXPONENTS = (2**31, -(2**31), 2**31 + 1, -(2**31 + 1))
 
