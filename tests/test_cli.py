@@ -265,27 +265,14 @@ def test_parse_poly_matches_the_scanner_reference_on_edge_cases():
         "u^", "u^ ", "u^-", "u^+", "u^- 2", "u ^ -2", "2 u", "2 3", "2^3", "+-u", "1 - - u",
         "u2u", "u 1", "uu^2", "u^2147483648 u", "u^-2147483648u^-1", "- 2u", "  ", "",
         "u03", "u0", "u1u2u1^-3", "3u1 ^ 2 u2", "1 +", "+",
+        # Long runs before junk: the grammar match fails in time linear in the text.
+        " " * 50000 + "@", "\t" * 50000 + "-" + " " * 50000 + "@", " " * 50000 + "u" + " " * 50000 + "@",
+        "u^" + " " * 50000 + "-" + " " * 50000 + "1", "1" + " u" * 50000 + "@", "+u^1" * 50000 + "@",
     )
     for text in cases:
         for d in (1, 2, 3):
             got = parse_outcome(parse_poly, text, 3, d)
-            assert got == parse_outcome(scanner_parse_poly, text, 3, d), (text, d)
-
-
-def test_parse_poly_matches_the_scanner_reference_on_long_runs():
-    """Long runs of whitespace, signs or factors before junk: the grammar
-    match fails in time linear in the text, so these finish at once, with the
-    scanner's error."""
-    n = 50000
-    cases = (
-        " " * n + "@", "\t" * n + "-" + " " * n + "@", " " * n + "u" + " " * n + "@",
-        "u^" + " " * n + "-" + " " * n + "1", "1" + " u" * n + "@", "+u^1" * n + "@",
-        " " * n, "u" + "\x1c" * n + "^2",
-    )
-    for text in cases:
-        for d in (1, 2):
-            got = parse_outcome(parse_poly, text, 3, d)
-            assert got == parse_outcome(scanner_parse_poly, text, 3, d), (text[:20], d)
+            assert got == parse_outcome(scanner_parse_poly, text, 3, d), (text[:40], d)
 
 
 LONG_SPACES = ("", "", "", " ", " ", "\t", "\x0b", "\x1c", "\n", "  ")
