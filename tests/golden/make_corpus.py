@@ -307,8 +307,9 @@ def _unary_commands(verb: str) -> list:
     return commands
 
 
-# (name, file text) of matrix files whose p or d is not a JSON integer, or
-# whose nesting is deeper than the JSON decoder's recursion limit.
+# (name, file text) of matrix files whose p or d is not a JSON integer, whose
+# entries are not strings, or whose nesting is deeper than the JSON decoder's
+# recursion limit.
 _ENTRIES = '"entries": [["1", "0"], ["u + u^-1", "1"]]'
 ODD_FILES = (
     ("p-huge-float", '{"p": 1e400, "d": 1, ' + _ENTRIES + "}"),
@@ -326,6 +327,8 @@ ODD_FILES = (
     ("d-zero", '{"p": 3, "d": 0, ' + _ENTRIES + "}"),
     ("p-negative", '{"p": -3, "d": 1, ' + _ENTRIES + "}"),
     ("p-big-int", '{"p": 1000000000000000003, "d": 1, ' + _ENTRIES + "}"),
+    ("entries-numbers", '{"p": 3, "d": 1, "entries": [[1, 0], [0, 1]]}'),
+    ("entries-literals", '{"p": 3, "d": 1, "entries": [[true, null], [0, 1.5]]}'),
     ("nested-500", [["[", 500], ["]", 500]]),
     ("too-deep", [["[", 200000], ["]", 200000]]),
     ("too-deep-entries", [['{"p": 3, "d": 1, "entries": ', 1], ["[", 100000], ["]", 100000], ["}", 1]]),
