@@ -54,14 +54,15 @@ class PolyParseError(ValueError):
         self.offset = offset
 
 
-# Valid text is decoded in bulk.  One match of the whole text against the
-# grammar (_grammar) validates it; string replacements then turn it into a JSON
-# array of one object per term, {"c": coefficient, "<k>": exponent of u_k, ...},
-# which the C JSON decoder reads in one call (_decode).  The term loop
-# (_scan_terms) runs only on text the bulk decoder rejects, and reports the
-# first error at its offset.
-_LEADING_ZEROS = re.compile(r"(?<![0-9])0+(?=[0-9])")
-_INDEX_ZEROS = re.compile(r"u0+")
+# Text in the spelling cqca writes (str(LaurentPoly), to_json_dict) is decoded
+# in bulk.  One match of the whole text against the grammar (_grammar) validates
+# it; string replacements then turn it into a JSON array of one object per term,
+# {"c": coefficient, "<k>": exponent of u_k, ...}, which the C JSON decoder reads
+# in one call (_decode).  Text the bulk decoder does not read goes to the term
+# loop (_scan_terms): the other valid spellings (leading zeros, zero-padded
+# variable indices, a variable repeated within a term, a repeated exponent,
+# some whitespace other than spaces), which it reads, and every error, which
+# it reports at its offset.
 _COEFFICIENT = operator.itemgetter("c")
 
 
@@ -70,7 +71,7 @@ def _grammar(d: int):
     """The whole-text grammar for d variables, the replacements that spell a
     term's factors as JSON members, and the member names of the d exponents."""
     names = ["u"] if d == 1 else [f"u{k}" for k in range(d, 0, -1)]
-    var = "u" if d == 1 else "u0*(?:" + "|".join(name[1:] for name in names) + ")"
+    var = "u" if d == 1 else "u(?:" + "|".join(name[1:] for name in names) + ")"
     # Every character has one place in a match: each whitespace run belongs to
     # one \s*, and each repetition starts with a character of its own (a digit,
     # 'u' or a sign).  So a failing match backtracks through each choice once,
@@ -87,69 +88,39 @@ def _grammar(d: int):
 
 
 def _decode(text: str, d: int):
-    """The {exponent tuple: coefficient} terms of the text, or None if it is
-    not in the grammar, has an exponent beyond +-2^31 (alone or accumulated
-    within a term) or a number past the int digit limit."""
+    """The {exponent tuple: coefficient} terms of the text, or None if the bulk
+    decoder does not read it: text outside the grammar or the JSON the
+    replacements make of it, a variable repeated within a term, an exponent
+    beyond +-2^31 or a repeated exponent."""
     grammar, replacements, keys = _grammar(d)
     if not grammar.fullmatch(text):
         return None
     s = text.replace(" ", "")
-    if not s.isprintable():  # whitespace other than spaces
-        s = "".join(s.split())
     if s[0] not in "+-":
         s = "+" + s
-    if "u0" in s:
-        s = _INDEX_ZEROS.sub("u", s)
     s = s.replace("+u", "+1u").replace("-u", "-1u")
     for old, new in replacements:
         s = s.replace(old, new)
     # Every sign now starts a term, but a sign right after a member name is
     # the exponent's own.
     s = s.replace("+", '},{"c":').replace("-", '},{"c":-').replace(':},{"c":', ":")
-    s = "[" + s[2:] + "}]"
-    parts = _json_array(s)
-    # A variable repeated within a term leaves fewer members than factors.
-    if parts is not None and sum(map(len, parts)) != len(parts) + text.count("u"):
-        parts = _json_array(s, _sum_members)
-    if parts is None:
+    try:
+        parts = json.loads("[" + s[2:] + "}]")
+    except ValueError:  # leading zeros, other whitespace, or an int past the digit limit
         return None
     n = len(parts)
+    # A variable repeated within a term leaves fewer members than factors.
+    if sum(map(len, parts)) != n + text.count("u"):
+        return None
     columns = [
         list(map(dict.get, parts, itertools.repeat(key, n), itertools.repeat(0, n))) for key in keys
     ]
     if any(max(column) > _EXP_LIMIT or min(column) < -_EXP_LIMIT for column in columns):
         return None
-    exponents = list(zip(*columns))
-    coefficients = list(map(_COEFFICIENT, parts))
-    terms = dict(zip(exponents, coefficients))
-    if len(terms) < n:  # repeated exponents: sum them in text order
-        terms = {}
-        for key, c in zip(exponents, coefficients):
-            terms[key] = terms.get(key, 0) + c
+    terms = dict(zip(zip(*columns), map(_COEFFICIENT, parts)))
+    if len(terms) != n:  # a repeated exponent
+        return None
     return terms
-
-
-def _json_array(s: str, object_pairs_hook=None):
-    """The decoded JSON array, retried without leading zeros (which JSON
-    forbids); None if it still fails."""
-    for _ in range(2):
-        try:
-            return json.loads(s, object_pairs_hook=object_pairs_hook)
-        except ValueError:  # leading zeros, an int past the digit limit, or _sum_members
-            s = _LEADING_ZEROS.sub("", s)
-    return None
-
-
-def _sum_members(pairs) -> dict:
-    """A term object whose repeated variables add up; ValueError once an
-    exponent or a partial sum passes +-2^31, as the term loop reports it."""
-    members = {}
-    for key, value in pairs:
-        total = value + members.get(key, 0)
-        if key != "c" and not (abs(value) <= _EXP_LIMIT and abs(total) <= _EXP_LIMIT):
-            raise ValueError(f"exponent of u{key} is beyond +-2^31")
-        members[key] = total
-    return members
 
 
 # One term: its sign, coefficient and first variable factor with an optional
@@ -270,9 +241,10 @@ def load_matrix(path: str, p_flag=None, d_flag=None) -> sca.ScaMatrix:
         not isinstance(entries, list)
         or len(entries) != 2
         or any(not isinstance(row, list) or len(row) != 2 for row in entries)
+        or any(not isinstance(entry, str) for row in entries for entry in row)
     ):
         raise ValueError("matrix JSON entries must be a 2x2 array of strings")
-    polys = [parse_poly(str(entries[i][j]), p, d) for i in (0, 1) for j in (0, 1)]
+    polys = [parse_poly(entries[i][j], p, d) for i in (0, 1) for j in (0, 1)]
     return sca.ScaMatrix(*polys)
 
 
@@ -428,11 +400,15 @@ def _ascii_window(s, xi0, steps):
 
 
 def _grid_rows(blocks, lo: int, hi: int, levels):
-    """One grid per orbit block, a row per slice over columns lo..hi, of levels[plus + 2 * minus]."""
+    """Grids of a row per slice over columns lo..hi, of levels[plus + 2 * minus],
+    at most sca._BLOCK_STEPS rows each: a zero orbit is one block of every slice."""
     for start, stop, t, cells, plus, minus in blocks:
-        grid = np.zeros((stop - start, hi - lo + 1), dtype=np.uint8)
-        grid[t - start, cells - lo] = (plus != 0) + 2 * (minus != 0)
-        yield levels[grid]
+        for first in range(start, stop, sca._BLOCK_STEPS):
+            last = min(first + sca._BLOCK_STEPS, stop)
+            i, j = np.searchsorted(t, (first, last))
+            grid = np.zeros((last - first, hi - lo + 1), dtype=np.uint8)
+            grid[t[i:j] - first, cells[i:j] - lo] = (plus[i:j] != 0) + 2 * (minus[i:j] != 0)
+            yield levels[grid]
 
 
 _ASCII_GLYPHS = np.frombuffer(b" +-*", dtype=np.uint8)  # empty, plus, minus, both

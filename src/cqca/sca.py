@@ -169,8 +169,8 @@ class ScaMatrix:
 
         Orbits step in blocks on coefficient windows (see _block_orbit) when
         _orbit_recurrence allows it, and with apply() one slice per block
-        otherwise; a zero start calls no apply() and yields empty blocks of
-        up to _BLOCK_STEPS slices.  Every block is checked against the light
+        otherwise; a zero start calls no apply() and yields one empty block
+        of all steps + 1 slices.  Every block is checked against the light
         cone of radius(): a block whose slice t has a cell more than
         t * radius outside the start support is cut before t, and
         InvariantViolation is raised after the cut block is yielded.
@@ -223,16 +223,15 @@ class ScaMatrix:
     def _apply_orbit(self, xi: PhaseVector, steps: int):
         """Blocks of one slice each, of an orbit stepped with apply() on the sparse dicts.
 
-        A zero start stays zero without stepping: its blocks hold up to
-        _BLOCK_STEPS empty slices each.
+        A zero start stays zero without stepping: one empty block holds every
+        slice.
         """
         d = self.d
         dtype = coefficient_dtype(self.p)
         if xi.is_zero():
             empty = np.zeros(0, dtype=np.int64)
             cells, coeffs = empty.reshape((0,) if d == 1 else (0, d)), empty.astype(dtype)
-            for t in range(0, steps + 1, _BLOCK_STEPS):
-                yield t, min(t + _BLOCK_STEPS, steps + 1), empty, cells, coeffs, coeffs
+            yield 0, steps + 1, empty, cells, coeffs, coeffs
             return
         for t in range(steps + 1):
             plus, minus = xi.plus.terms, xi.minus.terms
@@ -357,7 +356,8 @@ class ScaMatrix:
 
 # Orbit blocks: a block steps at most _BLOCK_STEPS times, and its steps times
 # the cells of its window stay within _BLOCK_CELLS where the support allows.
-# Both bound the memory of a block and the rows rendered at once.
+# Both bound the memory of a block; the ascii and pgm renderers draw at most
+# _BLOCK_STEPS rows at once.
 _BLOCK_STEPS = 128
 _BLOCK_CELLS = 1 << 16
 

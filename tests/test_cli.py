@@ -256,8 +256,8 @@ poly_texts = st.one_of(st.text(alphabet="u^+-0123456789 \t\n@x*.", max_size=16),
 def test_parse_poly_matches_the_scanner_reference(text, p, d):
     want = parse_outcome(scanner_parse_poly, text, p, d)
     assert parse_outcome(parse_poly, text, p, d) == want
-    if isinstance(want, LaurentPoly):  # valid text decodes in bulk
-        assert cli._decode(text, d) is not None
+    if isinstance(want, LaurentPoly):  # the spelling cqca writes decodes in bulk
+        assert cli._decode(str(want), d) is not None
 
 
 def test_parse_poly_matches_the_scanner_reference_on_edge_cases():
@@ -265,6 +265,8 @@ def test_parse_poly_matches_the_scanner_reference_on_edge_cases():
         "u^", "u^ ", "u^-", "u^+", "u^- 2", "u ^ -2", "2 u", "2 3", "2^3", "+-u", "1 - - u",
         "u2u", "u 1", "uu^2", "u^2147483648 u", "u^-2147483648u^-1", "- 2u", "  ", "",
         "u03", "u0", "u1u2u1^-3", "3u1 ^ 2 u2", "1 +", "+",
+        # Valid spellings the bulk decoder leaves to the term loop, and exponents past the limit.
+        "007 + u^02", "1 + 2", "u + 2u", "u1 + u1^1", "u^2147483649", "u^-2147483649", "1\t+\x1cu",
         # Long runs before junk: the grammar match fails in time linear in the text.
         " " * 50000 + "@", "\t" * 50000 + "-" + " " * 50000 + "@", " " * 50000 + "u" + " " * 50000 + "@",
         "u^" + " " * 50000 + "-" + " " * 50000 + "1", "1" + " u" * 50000 + "@", "+u^1" * 50000 + "@",
@@ -315,52 +317,55 @@ def long_poly_text(rng, p: int, d: int) -> str:
 @given(st.integers(0, 2**64), st.sampled_from((2, 5, 2**31 - 1)), st.sampled_from((1, 2)))
 def test_parse_poly_matches_the_scanner_reference_on_long_texts(seed, p, d):
     """Entry-sized texts: the bulk decoder and the term loop give the scanner's
-    polynomial or its error, and every text the scanner accepts decodes in bulk."""
+    polynomial or its error, and the spelling cqca writes of every polynomial
+    the scanner accepts decodes in bulk."""
     text = long_poly_text(random.Random(seed), p, d)
     want = parse_outcome(scanner_parse_poly, text, p, d)
     assert parse_outcome(parse_poly, text, p, d) == want
     if isinstance(want, LaurentPoly):
-        assert cli._decode(text, d) is not None
+        assert cli._decode(str(want), d) is not None
 
 
 def golden_texts():
-    """(text, d) of every polynomial in the golden corpus: the matrix entries
-    and the polynomial flags of evolve and recipe."""
+    """(text, p, d) of every polynomial in the golden corpus: the matrix entries
+    and the polynomial flags of evolve and recipe, at the command's p and d."""
     from pathlib import Path
 
     texts = set()
     for path in (Path(__file__).parent / "golden").glob("*.json"):
         for command in json.loads(path.read_text(encoding="utf-8")):
             argv = command["argv"]
+            p = int(argv[argv.index("--p") + 1]) if "--p" in argv else None
             d = int(argv[argv.index("--d") + 1]) if "--d" in argv else 1
             for obj in command.get("files", {}).values():
                 if isinstance(obj, dict) and type(obj.get("d")) is int and obj["d"] >= 1:
-                    d = obj["d"]
-                    texts.update((entry, d) for row in obj["entries"] for entry in row)
+                    p, d = obj["p"], obj["d"]
+                    texts.update((entry, p, d) for row in obj["entries"] for entry in row)
             for flag in ("--plus", "--minus", "--f", "--h", "--fp", "--hp"):
-                if flag in argv:
-                    texts.add((argv[argv.index(flag) + 1], d))
+                if flag in argv and p is not None:
+                    texts.add((argv[argv.index(flag) + 1], p, d))
     return sorted(texts)
 
 
-def test_valid_golden_texts_never_reach_the_term_loop(monkeypatch):
-    """Every polynomial of the golden corpus that parses does so in bulk: the
-    term loop only reports errors."""
+def test_canonical_golden_texts_never_reach_the_term_loop(monkeypatch):
+    """Every polynomial of the golden corpus written as cqca renders it parses
+    in bulk: the term loop reads only other spellings, and errors."""
     texts = golden_texts()
     parsed = {}
-    for text, d in texts:
+    for text, p, d in texts:
         try:
-            parsed[text, d] = parse_poly(text, 3, d)
-        except PolyParseError:
+            parsed[text, p, d] = parse_poly(text, p, d)
+        except ValueError:  # a syntax error, or a p that is not a prime
             pass
+    canonical = {key: poly for key, poly in parsed.items() if str(poly) == key[0]}
 
     def refuse(text, d):
-        raise AssertionError(f"valid text reached the term loop: {text!r}")
+        raise AssertionError(f"canonical text reached the term loop: {text!r}")
 
     monkeypatch.setattr(cli, "_scan_terms", refuse)
-    assert len(parsed) > 400 and len(parsed) < len(texts)
-    for (text, d), poly in parsed.items():
-        assert parse_poly(text, 3, d) == poly
+    assert len(canonical) > 600 and len(parsed) < len(texts)
+    for (text, p, d), poly in canonical.items():
+        assert parse_poly(text, p, d) == poly
 
 
 # -- verify / classify --------------------------------------------------------------
@@ -453,6 +458,16 @@ def test_malformed_inputs_exit_two(tmp_path, capsys):
         bad_digits.write_text(json.dumps({"p": 2, "d": 1, "entries": [["1", entry], ["0", "1"]]}))
         code, _, err = run(capsys, ["verify", str(bad_digits)])
         assert code == 2 and f"syntax error at offset {offset}:" in err
+
+
+def test_non_string_entries_exit_two(tmp_path, capsys):
+    """JSON numbers and literals are not polynomial text, even where str() of them would parse."""
+    path = tmp_path / "m.json"
+    for entries in ([[1, 0], [0, 1]], [[True, None], [0, 1.5]], [["1", "0"], [["0"], "1"]]):
+        path.write_text(json.dumps({"p": 3, "d": 1, "entries": entries}))
+        code, out, err = run(capsys, ["verify", str(path)])
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1] == "error: matrix JSON entries must be a 2x2 array of strings"
 
 
 # -- compose / invert / factor --------------------------------------------------------
@@ -671,15 +686,40 @@ def test_evolve_rejects_negative_steps(tmp_path, capsys):
 
 
 def test_evolve_zero_start_never_applies(tmp_path, capsys, monkeypatch):
-    """A zero start stays zero: a million steps print the header and call no apply()."""
+    """A zero start stays zero: any number of steps prints the header and calls no apply()."""
 
     def refuse(self, xi):
         raise AssertionError("apply() called on a zero orbit")
 
     path = write_matrix(tmp_path, shear_g(3, 1, 1))
     monkeypatch.setattr(ScaMatrix, "apply", refuse)
-    code, out, err = run(capsys, ["evolve", path, "--steps", "1000000"])
-    assert (code, out, err) == (0, "t,x,plus,minus\n", "")
+    for steps in (10**6, 10**10):
+        start = time.perf_counter()
+        code, out, err = run(capsys, ["evolve", path, "--steps", str(steps)])
+        assert (code, out, err) == (0, "t,x,plus,minus\n", "")
+        assert time.perf_counter() - start < 1
+
+
+def test_grid_rows_split_a_long_block():
+    """A block of more slices than sca._BLOCK_STEPS is drawn in grids of at most that many rows."""
+    t = np.array([3, 3, 200], dtype=np.int64)
+    block = (0, 300, t, np.array([-1, 1, 0]), np.array([1, 0, 2]), np.array([0, 1, 1]))
+    grids = list(cli._grid_rows([block], -1, 1, cli._ASCII_GLYPHS))
+    assert [len(grid) for grid in grids] == [128, 128, 44]
+    rows = [row.tobytes() for grid in grids for row in grid]
+    assert (rows[3], rows[200]) == (b"+ -", b" * ")
+    assert set(rows[:3] + rows[4:200] + rows[201:]) == {b"   "}
+
+
+def test_evolve_zero_start_grids_span_every_slice(tmp_path):
+    """A radius-0 automaton keeps a one-column window: a zero start of more
+    slices than one orbit block renders every row, blank or black."""
+    path = write_matrix(tmp_path, local_f(3, 2))
+    out = tmp_path / "out"
+    assert main(["evolve", path, "--steps", "300", "--format", "ascii", "--out", str(out)]) == 0
+    assert out.read_bytes() == b" \n" * 301
+    assert main(["evolve", path, "--steps", "300", "--format", "pgm", "--out", str(out)]) == 0
+    assert out.read_bytes() == b"P5 1 301 255\n" + bytes(301)
 
 
 def csv_reference(blocks, d):

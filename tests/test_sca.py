@@ -290,6 +290,16 @@ def test_orbit_blocks_cover_the_slices_in_order():
         assert all((plus != 0) | (minus != 0))
 
 
+def test_zero_orbit_is_one_empty_block():
+    """A zero start calls no apply(): one block of no rows spans every slice."""
+    for s, p, d in ((shear_g(3, 1, 1), 3, 1), (shift(5, 2, (1, -1)), 5, 2)):
+        zero = LaurentPoly(p, d, {})
+        ((start, stop, t, cells, plus, minus),) = s.orbit_blocks(PhaseVector(zero, zero), 10**12)
+        assert (start, stop) == (0, 10**12 + 1)
+        assert len(t) == len(cells) == len(plus) == len(minus) == 0
+        assert cells.shape == ((0,) if d == 1 else (0, d))
+
+
 def test_cayley_hamilton_identity():
     """s @ s == tr(s) s - det(s) I: the recurrence block stepping relies on."""
     rng = random.Random(5)
