@@ -54,18 +54,14 @@ class PolyParseError(ValueError):
         self.offset = offset
 
 
-# Text in the spelling cqca writes (str(LaurentPoly), to_json_dict) is decoded
-# in bulk.  One match of the whole text against the grammar (_grammar) validates
-# it; string replacements then turn it into a JSON array of one object per term,
-# {"c": coefficient, "<k>": exponent of u_k, ...}, which the C JSON decoder reads
-# in one call (_decode).  Text the bulk decoder does not read goes to the term
-# loop (_scan_terms): the other valid spellings (leading zeros, zero-padded
-# variable indices, a variable repeated within a term, a repeated exponent,
-# some whitespace other than spaces), which it reads, and every error, which
+# Text in the spelling cqca writes (str(LaurentPoly)) is decoded in bulk: one
+# match of the whole text against the grammar (_grammar) validates it, string
+# replacements turn it into a JSON array of one object per term, {"c":
+# coefficient, "<k>": exponent of u_k, ...}, and the C JSON decoder reads that
+# in one call (_decode).  The term loop (_scan_terms) reads what that leaves:
+# leading zeros, zero-padded indices, a variable repeated within a term, a
+# repeated exponent, most whitespace other than spaces, and every error, which
 # it reports at its offset.
-_COEFFICIENT = operator.itemgetter("c")
-
-
 @functools.cache
 def _grammar(d: int):
     """The whole-text grammar for d variables, the replacements that spell a
@@ -88,10 +84,9 @@ def _grammar(d: int):
 
 
 def _decode(text: str, d: int):
-    """The {exponent tuple: coefficient} terms of the text, or None if the bulk
-    decoder does not read it: text outside the grammar or the JSON the
-    replacements make of it, a variable repeated within a term, an exponent
-    beyond +-2^31 or a repeated exponent."""
+    """The {exponent tuple: coefficient} terms of the text, or None for text
+    outside the grammar or its JSON spelling, a repeated variable or exponent,
+    or an exponent beyond +-2^31."""
     grammar, replacements, keys = _grammar(d)
     if not grammar.fullmatch(text):
         return None
@@ -117,10 +112,8 @@ def _decode(text: str, d: int):
     ]
     if any(max(column) > _EXP_LIMIT or min(column) < -_EXP_LIMIT for column in columns):
         return None
-    terms = dict(zip(zip(*columns), map(_COEFFICIENT, parts)))
-    if len(terms) != n:  # a repeated exponent
-        return None
-    return terms
+    terms = dict(zip(zip(*columns), map(operator.itemgetter("c"), parts)))
+    return terms if len(terms) == n else None  # a repeated exponent leaves fewer terms
 
 
 # One term: its sign, coefficient and first variable factor with an optional
@@ -401,13 +394,12 @@ def _ascii_window(s, xi0, steps):
 
 def _grid_rows(blocks, lo: int, hi: int, levels):
     """Grids of a row per slice over columns lo..hi, of levels[plus + 2 * minus],
-    at most sca._BLOCK_STEPS rows each: a zero orbit is one block of every slice."""
+    at most sca._BLOCK_STEPS rows each (a zero orbit is one block of all slices)."""
     for start, stop, t, cells, plus, minus in blocks:
         for first in range(start, stop, sca._BLOCK_STEPS):
-            last = min(first + sca._BLOCK_STEPS, stop)
-            i, j = np.searchsorted(t, (first, last))
-            grid = np.zeros((last - first, hi - lo + 1), dtype=np.uint8)
-            grid[t[i:j] - first, cells[i:j] - lo] = (plus[i:j] != 0) + 2 * (minus[i:j] != 0)
+            rows = slice(*np.searchsorted(t, (first, first + sca._BLOCK_STEPS)))
+            grid = np.zeros((min(stop - first, sca._BLOCK_STEPS), hi - lo + 1), dtype=np.uint8)
+            grid[t[rows] - first, cells[rows] - lo] = (plus[rows] != 0) + 2 * (minus[rows] != 0)
             yield levels[grid]
 
 

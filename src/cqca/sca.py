@@ -223,8 +223,7 @@ class ScaMatrix:
     def _apply_orbit(self, xi: PhaseVector, steps: int):
         """Blocks of one slice each, of an orbit stepped with apply() on the sparse dicts.
 
-        A zero start stays zero without stepping: one empty block holds every
-        slice.
+        A zero start stays zero without stepping: one empty block holds every slice.
         """
         d = self.d
         dtype = coefficient_dtype(self.p)
@@ -356,8 +355,7 @@ class ScaMatrix:
 
 # Orbit blocks: a block steps at most _BLOCK_STEPS times, and its steps times
 # the cells of its window stay within _BLOCK_CELLS where the support allows.
-# Both bound the memory of a block; the ascii and pgm renderers draw at most
-# _BLOCK_STEPS rows at once.
+# Both bound a block's memory; cli draws grids of at most _BLOCK_STEPS rows.
 _BLOCK_STEPS = 128
 _BLOCK_CELLS = 1 << 16
 
