@@ -359,7 +359,7 @@ def _emit_csv(blocks, d: int, out) -> None:
     A block is written as one byte buffer.  Each column's fields are
     gathered from a fixed-width bytes table of its distinct values (see
     _fields), a record array lays each row's fields side by side, and one
-    bytes.replace strips the NUL padding of the shorter fields: the digits,
+    bytes.translate strips the NUL padding of the shorter fields: the digits,
     signs and separators hold no NUL, so what remains is the rows' text.
     """
     out.write(b"t,x,plus,minus\n")
@@ -369,7 +369,7 @@ def _emit_csv(blocks, d: int, out) -> None:
             continue
         columns = [t, *cells.reshape(len(t), d).T, plus, minus]
         records = np.rec.fromarrays([_fields(column, sep) for column, sep in zip(columns, separators)])
-        out.write(records.tobytes().replace(b"\0", b""))
+        out.write(records.tobytes().translate(None, b"\0"))
 
 
 def _fields(column, sep: str) -> np.ndarray:

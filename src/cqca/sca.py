@@ -18,12 +18,14 @@ or object past int64; shape (n,) for d = 1 and (n, d) otherwise) and the
 plus and minus coefficients.  By Cayley-Hamilton, s^2 = tr(s) s - det(s) I,
 and det(s) = u^2a for an automaton, so an orbit obeys
 x_{t+2} = tr(s) x_{t+1} - u^2a x_t, one convolution with the trace per
-step; orbits step that way on coefficient windows, a block at a time, and
-with apply() where the windows would not suit them (see
+step, and in characteristic p the Frobenius identity gives
+x_{t+2q} = tr(s)(u^q) x_{t+q} - u^2qa x_t for q = p^j, which steps q slices
+at once; orbits step that way on coefficient windows, a block at a time,
+and with apply() where the windows would not suit them (see
 ScaMatrix._orbit_recurrence).  The windows hold nonnegative int64 sums and
-are reduced mod p lazily: a step reduces its state only when a bound on
-its entries would let the next step's sums reach 2^63, and each block is
-reduced once before it is read out (see _block_orbit).
+are reduced mod p lazily: rows are reduced only when a bound on their
+entries would let the next sums reach 2^63, and each block is reduced once
+before it is read out (see _block_orbit and _orbit_plan).
 """
 
 from __future__ import annotations
@@ -373,6 +375,49 @@ def _block_steps(width, growth) -> int:
     return b
 
 
+def _orbit_plan(rows: int, p: int, terms: int, total: int, neg_c: int):
+    """The steps of a block of `rows` states, as (k, q, m, reduce) in order.
+
+    Each entry computes states k to k + m - 1 from states k - q ... and
+    k - 2q ...: q == 1 is one np.convolve step, and q = p^j is a group of
+    m <= q rows.  A group is taken at row k for the largest power q of p
+    with 2q <= k, when its multiply-adds (one per trace term and one for the
+    determinant) are no more than the m np.convolve steps it replaces;
+    otherwise row k is one step.  Every row k keeps the bound
+    B_k = total B_(k-q) + neg_c B_(k-2q) of its entries, and B = p - 1
+    for a reduced row; `reduce` marks the entries whose rows are reduced,
+    those with a bound past (2^63 - 1) // (total + neg_c), so every row
+    read later keeps the sums of its step below 2^63.
+    """
+    limit = ((1 << 63) - 1) // (total + neg_c)
+    bound = [p - 1, p - 1]
+    plan = []
+
+    def singles(stop):
+        for k in range(len(bound), stop):
+            new = total * bound[k - 1] + neg_c * bound[k - 2]
+            reduce = new > limit
+            bound.append(p - 1 if reduce else new)
+            plan.append((k, 1, 1, reduce))
+
+    q = p
+    while q <= terms:  # the first power of p whose groups pay
+        q *= p
+    k = min(2 * q, rows)
+    singles(k)
+    while rows - k > terms:
+        while 2 * q * p <= k:
+            q *= p
+        m = min(q, rows - k)
+        new = [total * a + neg_c * b for a, b in zip(bound[k - q : k - q + m], bound[k - 2 * q : k - 2 * q + m])]
+        reduce = max(new) > limit
+        bound += [p - 1] * m if reduce else new
+        plan.append((k, q, m, reduce))
+        k += m
+    singles(rows)
+    return plan
+
+
 def _block_orbit(s, xi: PhaseVector, steps: int, trace, e, c, lo, hi):
     """Blocks of an orbit stepped by x_{t+2} = tr(s) x_{t+1} - c u^e x_t.
 
@@ -386,17 +431,40 @@ def _block_orbit(s, xi: PhaseVector, steps: int, trace, e, c, lo, hi):
     Kronecker layout (as in laurent._mul_dense).  A step is one np.convolve
     of the trace window, plus (p - c) times the moved x_t.
 
+    Long blocks step q = p^j states at a time.  s^q obeys Cayley-Hamilton
+    too, so x_{t+2q} = tr(s^q) x_{t+q} - det(s)^q x_t.  In characteristic p
+    the Frobenius map gives tr(s^q) = tr(s)(u^q): with eigenvalues l and m
+    of s, tr(s^q) = l^q + m^q = (l + m)^q = tr(s)^q, and the q-th power of a
+    polynomial over F_p is the polynomial in u^q.  Likewise
+    det(s)^q = c^q u^(qe) = c u^(qe).  In the layout of x_{t+2q} both terms
+    move by q times the step's offsets: each tap of the trace window by q f
+    for its flat offset f, and x_t by q times the determinant's offset.  So
+    q consecutive states are one 2-D slice multiply-add per trace term,
+    plus one for the determinant term, over the rows q and 2q back (see
+    _orbit_plan for which rows step that way).  The taps stay inside the
+    window: a group at row k >= 2q has a box at least (2q - 1)(hi - lo) + 1
+    cells wide on each axis, so q f is a cell of the box and the
+    determinant's q-fold offset, at most 2q (hi - lo) per axis, stays below
+    2n; each term is one slice of the rows.  Where a term moves cells past
+    the edge of an axis (as a single step can too), they wrap into other
+    cells of the flat layout and cancel there mod p with those of the other
+    terms: the layout is linear in the exponents, and the state the terms
+    sum to lies in the box.
+
     Reductions mod p are deferred.  Every term is nonnegative (residues,
     trace coefficients and p - c), so with S the sum of the trace
-    coefficients, row k stays below B_k = S B_{k-1} + (p - c) B_{k-2},
-    tracked as a Python int; B = p - 1 for a reduced row.  Row k is reduced
-    in place only when B_k exceeds (2^63 - 1) // (S + p - c), so every
-    unreduced input keeps the next step's sums below 2^63.  A reduced row
-    is a valid input too: _orbit_recurrence admits the trace only when
-    (len(trace) + 1) p^2 < 2^63, and (S + p - c)(p - 1) is below that.  The
-    whole block is reduced once at the end, and its first b states are
-    read out through one mask of their support; the next block starts from
-    the two after them.
+    coefficients, a row stays below B_k = S B_{k-q} + (p - c) B_{k-2q}
+    (q = 1 for a single step), which _orbit_plan tracks as Python ints;
+    B = p - 1 for a reduced row.  The rows are reduced in place only when a bound exceeds
+    (2^63 - 1) // (S + p - c), so every unreduced input keeps the next
+    sums below 2^63.  A reduced row is a valid input too: _orbit_recurrence
+    admits the trace only when (len(trace) + 1) p^2 < 2^63, and
+    (S + p - c)(p - 1) is below that.  Each row is an exact integer
+    combination of earlier rows with coefficients congruent to those of
+    the recurrences, so it stays congruent mod p to its state however
+    late it is reduced.  The whole block is reduced once at the end, and
+    its first b states are read out through one mask of their support;
+    the next block starts from the two after them.
     """
     p, d = s.p, s.d
     growth = [z - a for a, z in zip(lo, hi)]
@@ -405,7 +473,6 @@ def _block_orbit(s, xi: PhaseVector, steps: int, trace, e, c, lo, hi):
     tr_coeffs = np.fromiter(trace.terms.values(), np.int64, len(trace.terms))
     det_exp = [x - 2 * a for x, a in zip(e, lo)]
     total = sum(trace.terms.values())
-    limit = ((1 << 63) - 1) // (total + neg_c)
     # The first pair of states, on the bounding box of their support.
     x1 = s.apply(xi)
     back = tuple(-a for a in lo)
@@ -430,16 +497,22 @@ def _block_orbit(s, xi: PhaseVector, steps: int, trace, e, c, lo, hi):
         flat = tr_exps @ strides
         window = np.zeros(int(flat.max(initial=0)) + 1, dtype=np.int64)
         window[flat] = tr_coeffs
+        taps = list(zip(flat.tolist(), tr_coeffs.tolist()))
         shift = sum(x * y for x, y in zip(det_exp, strides))  # below n: x_t is never zero
-        bound = [p - 1, p - 1]
-        for k in range(2, rows):
-            row = states[k]
-            row[:] = np.convolve(states[k - 1], window)[: 2 * n]
-            row[shift:] += neg_c * states[k - 2, : 2 * n - shift]
-            bound.append(total * bound[k - 1] + neg_c * bound[k - 2])
-            if bound[k] > limit:
-                row %= p
-                bound[k] = p - 1
+        size = 2 * n
+        for k, q, m, reduce in _orbit_plan(rows, p, len(taps), total, neg_c):
+            if q == 1:
+                out = states[k]
+                out[:] = np.convolve(states[k - 1], window)[:size]
+                out[shift:] += neg_c * states[k - 2, : size - shift]
+            else:
+                out = states[k : k + m]
+                for f, a in taps:
+                    x = states[k - q : k - q + m, : size - q * f]
+                    out[:, q * f :] += x if a == 1 else a * x
+                out[:, q * shift :] += neg_c * states[k - 2 * q : k - 2 * q + m, : size - q * shift]
+            if reduce:
+                out -= out // p * p
         states -= states // p * p  # as states %= p; numpy floor-divides by a scalar faster
         comps = states.reshape(rows, 2, n)
         plus, minus = comps[:b, 0], comps[:b, 1]

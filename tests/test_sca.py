@@ -151,6 +151,118 @@ def test_orbit_matches_apply_stepping():
         assert_orbit_is_apply(s, xi, steps, s.radius())
 
 
+def recorded_plans():
+    """(entries, patch): the patch makes sca._orbit_plan record every entry it returns."""
+    entries = []
+    real = sca._orbit_plan
+
+    def record(*args):
+        plan = real(*args)
+        entries.extend(plan)
+        return plan
+
+    return entries, mock.patch.object(sca, "_orbit_plan", record)
+
+
+def unit_trace(p, d=1, shift_by=None):
+    """The recipe ((f, 1 - f h), (-1, h)) with h = 1 - f: trace 1, one tap, radius 2."""
+    f = LaurentPoly.one(p, d)
+    for axis in range(d):
+        x = tuple(int(i == axis) for i in range(d))
+        f = f + LaurentPoly(p, d, {x: 1, tuple(-v for v in x): 1})
+    s = from_recipe(f, LaurentPoly.one(p, d) - f)
+    return s if shift_by is None else s.shifted(shift_by)
+
+
+def diagonal_glider(p, d=1):
+    """diag(2 u_1, -1) for odd p: the plus component glides and the minus one stays,
+    so an orbit keeps its size; trace 2 u_1 - 1, determinant -2 u_1 (e != 0)."""
+    x = tuple(int(i == 0) for i in range(d))
+    zero = LaurentPoly.zero(p, d)
+    return ScaMatrix(LaurentPoly(p, d, {x: 2}), zero, zero, LaurentPoly.constant(p, d, -1))
+
+
+def test_orbit_groups_match_apply_iterates():
+    """Groups of q = p^j slices (sca._orbit_plan) give the apply() iterates: q = p,
+    p^2 and p^3 at p = 2, 3, 5, 7, d = 2, shifted automata, fuller traces,
+    partial groups and groups that reduce their rows."""
+    rng = random.Random(18)
+    cases = []  # (matrix, start, steps, block steps, block cells, group sizes that must run)
+    for p, steps in ((2, 20), (3, 24), (5, 56), (7, 104)):
+        xi = PhaseVector(poly(p, {0: 1, 1: p - 1}), poly(p, {-1: 1}))
+        cases.append((unit_trace(p, shift_by=(1,)), xi, steps, 128, 1 << 18, {p, p * p} | ({8} if p == 2 else set())))
+    # p^3 at p = 3, 5, 7 on one block of gliders, whose apply() iterates stay small.
+    for p, steps in ((3, 60), (5, 256), (7, 700)):
+        xi = PhaseVector(poly(p, {0: 1, 2: 1}), poly(p, {-1: 2, 1: 1}))
+        cases.append((diagonal_glider(p), xi, steps, 1024, 1 << 21, {p, p**2, p**3}))
+    # Traces of three and five terms, as in the orbit benchmark's radius-1 and 2 automata.
+    for p, r, steps in ((3, 1, 40), (5, 1, 30), (3, 2, 40)):
+        c = [rng.randint(1, p - 1) for _ in range(r + 1)]
+        f = LaurentPoly(p, 1, {e: c[abs(e)] for e in range(-r, r + 1)})
+        s = from_recipe(f, LaurentPoly.constant(p, 1, c[0]))  # trace f + c[0], of 2r + 1 terms
+        cases.append((s, PhaseVector.random(rng, p, range(-2, 3)), steps, 128, 1 << 16, {9 if p == 3 else 5}))
+    # Two variables: a moving window in a box of two axes.
+    start2 = PhaseVector(LaurentPoly(2, 2, {(0, 0): 1, (1, -1): 1}), LaurentPoly(2, 2, {(0, 1): 1}))
+    cases.append((unit_trace(2, 2), start2, 18, 128, 1 << 20, {2, 4, 8}))
+    start3 = PhaseVector(LaurentPoly(3, 2, {(0, 0): 1, (2, 1): 2}), LaurentPoly(3, 2, {(1, 1): 1}))
+    cases.append((diagonal_glider(3, 2), start3, 24, 128, 1 << 16, {3, 9}))
+    cases.append((unit_trace(3, 2, shift_by=(1, -1)), PhaseVector(LaurentPoly.one(3, 2), LaurentPoly.zero(3, 2)), 8, 128, 1 << 16, {3}))
+
+    seen = set()
+    for s, xi, steps, block_steps, block_cells, want in cases:
+        entries, patch = recorded_plans()
+        with patch, mock.patch.object(sca, "_BLOCK_STEPS", block_steps), mock.patch.object(sca, "_BLOCK_CELLS", block_cells):
+            assert_orbit_is_apply(s, xi, steps, s.radius())
+        groups = [(q, m, reduce) for _, q, m, reduce in entries if q > 1]
+        assert want <= {q for q, _, _ in groups}, (s, want)
+        seen |= {("partial" if m < q else "full", reduce) for q, m, reduce in groups}
+    assert ("partial", False) in seen and ("full", True) in seen
+
+
+def test_orbit_plan_bounds_every_row():
+    """Each plan covers its rows in order, groups exactly where the rule puts them,
+    and reduces exactly the entries whose bound would pass the int64 limit."""
+    rng = random.Random(7)
+    for p in (2, 3, 5, 7, 1048573):
+        for _ in range(40):
+            terms = rng.randint(0, 9)
+            total = sum(rng.randint(1, p - 1) for _ in range(terms))
+            neg_c = rng.randint(1, p - 1)
+            rows = rng.choice((2, 3, 5, 17, 50, 130, 702))
+            limit = ((1 << 63) - 1) // (total + neg_c)
+            bound = [p - 1, p - 1]
+            k = 2
+            for at, q, m, reduce in sca._orbit_plan(rows, p, terms, total, neg_c):
+                assert at == k and 1 <= m <= q
+                # The largest power of p with 2q <= k, and a group only where it pays.
+                top = p
+                while 2 * top * p <= k:
+                    top *= p
+                pays = 2 * top <= k and min(top, rows - k) > terms
+                assert (q, m) == ((top, min(top, rows - k)) if pays else (1, 1))
+                new = [total * bound[j - q] + neg_c * bound[j - 2 * q] for j in range(k, k + m)]
+                assert reduce == (max(new) > limit)
+                bound += [p - 1] * m if reduce else new
+                k += m
+            assert k == max(rows, 2) and max(bound) <= limit
+
+
+def test_frobenius_identity_by_definition():
+    """tr(s^q) = tr(s)(u^q) and det(s^q) = c u^(qe) for q = p, p^2, with s^q built by compose."""
+    for p in (2, 3, 5):
+        for seed in range(3):
+            s = multiply_word(random_word(p, 6, 2, seed=seed))
+            trace, det = s.pp + s.mm, s.det()
+            ((e, c),) = det.terms.items()
+            power, n = s, 1
+            for q in (p, p * p):
+                while n < q:
+                    power, n = power @ s, n + 1
+                stretched = LaurentPoly(p, 1, {(q * x,): a for (x,), a in trace.terms.items()})
+                assert power.pp + power.mm == stretched, (p, seed, q)
+                assert power.det() == LaurentPoly.monomial(p, 1, (q * e[0],), c)
+
+
 def cone_violation(support, start, t, radius, d):
     """The light-cone message for slice t, or None: the reference of the orbit check.
 
