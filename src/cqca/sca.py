@@ -16,12 +16,11 @@ ScaMatrix.orbit_blocks() yields the space-time trace of a vector in blocks
 of consecutive time slices, one row per support cell: t, the cells (int64,
 or object past int64; shape (n,) for d = 1 and (n, d) otherwise) and the
 plus and minus coefficients.  By Cayley-Hamilton, s^2 = tr(s) s - det(s) I,
-and det(s) = u^2a for an automaton, so an orbit obeys
-x_{t+2} = tr(s) x_{t+1} - u^2a x_t, one convolution with the trace per
-step, and in characteristic p the Frobenius identity gives
-x_{t+2q} = tr(s)(u^q) x_{t+q} - u^2qa x_t for q = p^j, which steps q slices
-at once; orbits step that way on coefficient windows, a block at a time,
-and with apply() where the windows would not suit them (see
+and det(s) = u^2a for an automaton; in characteristic p the Frobenius
+identity extends that to x_{t+2q} = tr(s)(u^q) x_{t+q} - u^2qa x_t for every
+q = p^j, j >= 0, which gives q slices at once by one shifted multiply-add
+per trace term.  Orbits step that way on coefficient windows, a block at a
+time, and with apply() where the windows would not suit them (see
 ScaMatrix._orbit_recurrence).  The windows hold nonnegative int64 sums and
 are reduced mod p lazily: rows are reduced only when a bound on their
 entries would let the next sums reach 2^63, and each block is reduced once
@@ -375,37 +374,23 @@ def _block_steps(width, growth) -> int:
     return b
 
 
-def _orbit_plan(rows: int, p: int, terms: int, total: int, neg_c: int):
+def _orbit_plan(rows: int, p: int, total: int, neg_c: int):
     """The steps of a block of `rows` states, as (k, q, m, reduce) in order.
 
     Each entry computes states k to k + m - 1 from states k - q ... and
-    k - 2q ...: q == 1 is one np.convolve step, and q = p^j is a group of
-    m <= q rows.  A group is taken at row k for the largest power q of p
-    with 2q <= k, when its multiply-adds (one per trace term and one for the
-    determinant) are no more than the m np.convolve steps it replaces;
-    otherwise row k is one step.  Every row k keeps the bound
-    B_k = total B_(k-q) + neg_c B_(k-2q) of its entries, and B = p - 1
-    for a reduced row; `reduce` marks the entries whose rows are reduced,
-    those with a bound past (2^63 - 1) // (total + neg_c), so every row
-    read later keeps the sums of its step below 2^63.
+    k - 2q ... (see _block_orbit): at row k, q is the largest power p^j
+    (j >= 0) with 2q <= k, and m = min(q, rows - k), so q = 1 is a single
+    step.  Every row k keeps the bound B_k = total B_(k-q) + neg_c B_(k-2q)
+    of its entries, and B = p - 1 for a reduced row; `reduce` marks the
+    entries whose rows are reduced, those with a bound past
+    (2^63 - 1) // (total + neg_c), so every row read later keeps the sums
+    of its step below 2^63.
     """
     limit = ((1 << 63) - 1) // (total + neg_c)
     bound = [p - 1, p - 1]
     plan = []
-
-    def singles(stop):
-        for k in range(len(bound), stop):
-            new = total * bound[k - 1] + neg_c * bound[k - 2]
-            reduce = new > limit
-            bound.append(p - 1 if reduce else new)
-            plan.append((k, 1, 1, reduce))
-
-    q = p
-    while q <= terms:  # the first power of p whose groups pay
-        q *= p
-    k = min(2 * q, rows)
-    singles(k)
-    while rows - k > terms:
+    q, k = 1, 2
+    while k < rows:
         while 2 * q * p <= k:
             q *= p
         m = min(q, rows - k)
@@ -414,48 +399,45 @@ def _orbit_plan(rows: int, p: int, terms: int, total: int, neg_c: int):
         bound += [p - 1] * m if reduce else new
         plan.append((k, q, m, reduce))
         k += m
-    singles(rows)
     return plan
 
 
 def _block_orbit(s, xi: PhaseVector, steps: int, trace, e, c, lo, hi):
-    """Blocks of an orbit stepped by x_{t+2} = tr(s) x_{t+1} - c u^e x_t.
+    """Blocks of an orbit stepped by x_{t+2q} = tr(s)(u^q) x_{t+q} - c u^(qe) x_t.
 
     Cayley-Hamilton gives s^2 = tr(s) s - det(s) I for any 2x2 matrix, and
-    det(s) = c u^e here.  One apply() step gives x_1.  The windows move with
-    the orbit: x_t is laid out as u^(-t lo) x_t, where a step convolves with
-    u^-lo tr(s) and subtracts c u^(e - 2 lo) x_t, both free of negative
-    exponents, so each state reaches at most hi - lo cells further up each
-    axis.  A block lays two consecutive states out on the box of their
-    support, widened by b (hi - lo), with both components on one flat
-    Kronecker layout (as in laurent._mul_dense).  A step is one np.convolve
-    of the trace window, plus (p - c) times the moved x_t.
+    det(s) = c u^e here.  s^q obeys it too, so x_{t+2q} = tr(s^q) x_{t+q} -
+    det(s)^q x_t, and for q = p^j the Frobenius map of characteristic p gives
+    tr(s^q) = tr(s)(u^q): with eigenvalues l and m of s, tr(s^q) = l^q + m^q
+    = (l + m)^q = tr(s)^q, and the q-th power of a polynomial over F_p is
+    the polynomial in u^q.  Likewise det(s)^q = c^q u^(qe) = c u^(qe).
+    q = p^0 = 1 is the plain Cayley-Hamilton step.
 
-    Long blocks step q = p^j states at a time.  s^q obeys Cayley-Hamilton
-    too, so x_{t+2q} = tr(s^q) x_{t+q} - det(s)^q x_t.  In characteristic p
-    the Frobenius map gives tr(s^q) = tr(s)(u^q): with eigenvalues l and m
-    of s, tr(s^q) = l^q + m^q = (l + m)^q = tr(s)^q, and the q-th power of a
-    polynomial over F_p is the polynomial in u^q.  Likewise
-    det(s)^q = c^q u^(qe) = c u^(qe).  In the layout of x_{t+2q} both terms
-    move by q times the step's offsets: each tap of the trace window by q f
-    for its flat offset f, and x_t by q times the determinant's offset.  So
-    q consecutive states are one 2-D slice multiply-add per trace term,
-    plus one for the determinant term, over the rows q and 2q back (see
-    _orbit_plan for which rows step that way).  The taps stay inside the
-    window: a group at row k >= 2q has a box at least (2q - 1)(hi - lo) + 1
-    cells wide on each axis, so q f is a cell of the box and the
-    determinant's q-fold offset, at most 2q (hi - lo) per axis, stays below
-    2n; each term is one slice of the rows.  Where a term moves cells past
-    the edge of an axis (as a single step can too), they wrap into other
-    cells of the flat layout and cancel there mod p with those of the other
-    terms: the layout is linear in the exponents, and the state the terms
-    sum to lies in the box.
+    One apply() step gives x_1.  The windows move with the orbit: x_t is
+    laid out as u^(-t lo) x_t, where a step multiplies by u^-lo tr(s) and
+    subtracts c u^(e - 2 lo) x_t, both free of negative exponents, so each
+    state reaches at most hi - lo cells further up each axis.  A block lays
+    two consecutive states out on the box of their support, widened by
+    b (hi - lo), with both components on one flat Kronecker layout (as in
+    laurent._mul_dense).  Each trace term is a tap at a flat offset f, and
+    x_t moves by the determinant's offset; in the layout of x_{t+2q} both
+    move by q times that.  So m <= q consecutive states are one 2-D slice
+    multiply-add per trace term, plus one for the determinant term, over
+    the rows q and 2q back (_orbit_plan picks q and m for each row).  The
+    taps stay inside the window: a row k >= 2q has a box at least
+    (2q - 1)(hi - lo) + 1 cells wide on each axis, so q f is a cell of the
+    box and the determinant's q-fold offset, at most 2q (hi - lo) per axis,
+    stays below 2n; each term is one slice of the rows.  Where a term moves
+    cells past the edge of an axis, they wrap into other cells of the flat
+    layout and cancel there mod p with those of the other terms: the layout
+    is linear in the exponents, and the state the terms sum to lies in the
+    box.
 
     Reductions mod p are deferred.  Every term is nonnegative (residues,
     trace coefficients and p - c), so with S the sum of the trace
-    coefficients, a row stays below B_k = S B_{k-q} + (p - c) B_{k-2q}
-    (q = 1 for a single step), which _orbit_plan tracks as Python ints;
-    B = p - 1 for a reduced row.  The rows are reduced in place only when a bound exceeds
+    coefficients, a row stays below B_k = S B_{k-q} + (p - c) B_{k-2q},
+    which _orbit_plan tracks as Python ints; B = p - 1 for a reduced row.
+    The rows are reduced in place only when a bound exceeds
     (2^63 - 1) // (S + p - c), so every unreduced input keeps the next
     sums below 2^63.  A reduced row is a valid input too: _orbit_recurrence
     admits the trace only when (len(trace) + 1) p^2 < 2^63, and
@@ -470,9 +452,9 @@ def _block_orbit(s, xi: PhaseVector, steps: int, trace, e, c, lo, hi):
     growth = [z - a for a, z in zip(lo, hi)]
     neg_c = p - c
     tr_exps = np.array(list(trace.terms), dtype=np.int64).reshape(len(trace.terms), d) - lo
-    tr_coeffs = np.fromiter(trace.terms.values(), np.int64, len(trace.terms))
+    tr_coeffs = list(trace.terms.values())
     det_exp = [x - 2 * a for x, a in zip(e, lo)]
-    total = sum(trace.terms.values())
+    total = sum(tr_coeffs)
     # The first pair of states, on the bounding box of their support.
     x1 = s.apply(xi)
     back = tuple(-a for a in lo)
@@ -494,23 +476,15 @@ def _block_orbit(s, xi: PhaseVector, steps: int, trace, e, c, lo, hi):
         states = np.zeros((rows, 2) + tuple(shape), dtype=np.int64)
         states[(slice(0, 2), slice(None)) + tuple(slice(0, w) for w in width)] = pair
         states = states.reshape(rows, 2 * n)
-        flat = tr_exps @ strides
-        window = np.zeros(int(flat.max(initial=0)) + 1, dtype=np.int64)
-        window[flat] = tr_coeffs
-        taps = list(zip(flat.tolist(), tr_coeffs.tolist()))
+        taps = list(zip((tr_exps @ strides).tolist(), tr_coeffs))
         shift = sum(x * y for x, y in zip(det_exp, strides))  # below n: x_t is never zero
         size = 2 * n
-        for k, q, m, reduce in _orbit_plan(rows, p, len(taps), total, neg_c):
-            if q == 1:
-                out = states[k]
-                out[:] = np.convolve(states[k - 1], window)[:size]
-                out[shift:] += neg_c * states[k - 2, : size - shift]
-            else:
-                out = states[k : k + m]
-                for f, a in taps:
-                    x = states[k - q : k - q + m, : size - q * f]
-                    out[:, q * f :] += x if a == 1 else a * x
-                out[:, q * shift :] += neg_c * states[k - 2 * q : k - 2 * q + m, : size - q * shift]
+        for k, q, m, reduce in _orbit_plan(rows, p, total, neg_c):
+            out = states[k : k + m]
+            for f, a in taps:
+                x = states[k - q : k - q + m, : size - q * f]
+                out[:, q * f :] += x if a == 1 else a * x
+            out[:, q * shift :] += neg_c * states[k - 2 * q : k - 2 * q + m, : size - q * shift]
             if reduce:
                 out -= out // p * p
         states -= states // p * p  # as states %= p; numpy floor-divides by a scalar faster

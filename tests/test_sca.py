@@ -220,8 +220,9 @@ def test_orbit_groups_match_apply_iterates():
 
 
 def test_orbit_plan_bounds_every_row():
-    """Each plan covers its rows in order, groups exactly where the rule puts them,
-    and reduces exactly the entries whose bound would pass the int64 limit."""
+    """Each plan covers its rows in order, takes at row k the largest power
+    q = p^j (j >= 0) with 2q <= k and min(q, rows - k) rows, and reduces
+    exactly the entries whose bound would pass the int64 limit."""
     rng = random.Random(7)
     for p in (2, 3, 5, 7, 1048573):
         for _ in range(40):
@@ -232,14 +233,11 @@ def test_orbit_plan_bounds_every_row():
             limit = ((1 << 63) - 1) // (total + neg_c)
             bound = [p - 1, p - 1]
             k = 2
-            for at, q, m, reduce in sca._orbit_plan(rows, p, terms, total, neg_c):
-                assert at == k and 1 <= m <= q
-                # The largest power of p with 2q <= k, and a group only where it pays.
-                top = p
+            for at, q, m, reduce in sca._orbit_plan(rows, p, total, neg_c):
+                top = 1
                 while 2 * top * p <= k:
                     top *= p
-                pays = 2 * top <= k and min(top, rows - k) > terms
-                assert (q, m) == ((top, min(top, rows - k)) if pays else (1, 1))
+                assert (at, q, m) == (k, top, min(top, rows - k))
                 new = [total * bound[j - q] + neg_c * bound[j - 2 * q] for j in range(k, k + m)]
                 assert reduce == (max(new) > limit)
                 bound += [p - 1] * m if reduce else new
