@@ -38,7 +38,7 @@ import numpy as np
 from . import factor as factor_mod
 from . import sca
 from .cocycle import cocycle_failure, default_phase
-from .laurent import LaurentPoly, _check_ring
+from .laurent import MAX_VARIABLES, LaurentPoly, _check_ring
 from .phasespace import PhaseVector
 
 __all__ = ["PolyParseError", "parse_poly", "main"]
@@ -126,6 +126,8 @@ _FACTOR = re.compile(r"\s*u([0-9]*)\s*(?:\^\s*([+-]?)([0-9]*))?")
 
 def parse_poly(text: str, p: int, d: int = 1) -> LaurentPoly:
     """Parse a polynomial string; raises PolyParseError with a character offset."""
+    if d > MAX_VARIABLES:  # before the grammar and the term loop, whose cost grows with d
+        _check_ring(p, d)
     terms = _decode(text, d)
     if terms is None:
         terms = _scan_terms(text, d)
@@ -312,8 +314,6 @@ def cmd_factor(args) -> int:
 
 def cmd_recipe(args) -> int:
     p, d = args.p, args.d
-    if p is None:
-        raise ValueError("recipe needs --p")
     f = parse_poly(args.f, p, d)
     h = parse_poly(args.h, p, d)
     f2 = parse_poly(args.fp, p, d) if args.fp is not None else None

@@ -310,20 +310,40 @@ def word_to_json_list(word: GeneratorWord) -> list:
     return out
 
 
+# The letter and its members, in argument order, of each JSON kind; a shift is a bare integer.
+_LETTER_FIELDS = {
+    "shift": (Shift, ()),
+    "g": (Shear, ("n", "c")),
+    "ug": (UpperShear, ("n", "c")),
+    "f": (Local, ("c",)),
+}
+
+
 def word_from_json_list(p, data) -> GeneratorWord:
+    """The word of a JSON list in the spelling of word_to_json_list.
+
+    Every value must be a JSON integer (a Python int that is not a bool, as
+    load_matrix requires of p and d); ValueError names the letter index
+    otherwise.
+    """
     letters = []
     for i, obj in enumerate(data):
         if not isinstance(obj, dict) or len(obj) != 1:
             raise ValueError(f"letter {i}: expected a single-key object, got {obj!r}")
         ((key, val),) = obj.items()
-        if key == "shift":
-            letters.append(Shift(int(val)))
-        elif key == "g":
-            letters.append(Shear(int(val["n"]), int(val["c"])))
-        elif key == "ug":
-            letters.append(UpperShear(int(val["n"]), int(val["c"])))
-        elif key == "f":
-            letters.append(Local(int(val["c"])))
-        else:
+        if key not in _LETTER_FIELDS:
             raise ValueError(f"letter {i}: unknown kind {key!r}")
+        letter, names = _LETTER_FIELDS[key]
+        if not names:
+            values = [val]
+        elif isinstance(val, dict) and val.keys() == set(names):
+            values = [val[name] for name in names]
+        else:
+            raise ValueError(
+                f"letter {i}: {key!r} needs an object with members {', '.join(names)}, got {val!r}"
+            )
+        for v in values:
+            if type(v) is not int:  # not a float, string or boolean
+                raise ValueError(f"letter {i}: {key!r} values must be integers, got {v!r}")
+        letters.append(letter(*values))
     return GeneratorWord(p, tuple(letters))

@@ -142,11 +142,18 @@ def _convolve_mod(a, b, p):
     return out.astype(a.dtype, copy=False)
 
 
+# Coefficient arrays carry an axis per variable and two more (vectors or orbit
+# rows, and the two components), and numpy arrays have at most 64 axes.
+MAX_VARIABLES = 62
+
+
 def _check_ring(p, d):
-    """Raise ValueError unless p is a prime modulus and d a positive variable count."""
+    """Raise ValueError unless p is a prime modulus and d a variable count in 1..MAX_VARIABLES."""
     check_prime(p)
     if not isinstance(d, int) or d < 1:
         raise ValueError(f"number of variables must be a positive int, got {d!r}")
+    if d > MAX_VARIABLES:
+        raise ValueError(f"number of variables {d} exceeds {MAX_VARIABLES}")
 
 
 def _as_exponent(x, d):

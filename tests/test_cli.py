@@ -470,6 +470,22 @@ def test_non_string_entries_exit_two(tmp_path, capsys):
         assert err.splitlines()[-1] == "error: matrix JSON entries must be a 2x2 array of strings"
 
 
+def test_too_many_variables_exit_two_at_once(tmp_path, capsys):
+    """d past MAX_VARIABLES = 62 is refused before the grammar or any array is built
+    (at d = 10^6 compiling the grammar alone ran out of memory)."""
+    path = tmp_path / "m.json"
+    for d in (63, 10**6):
+        path.write_text(json.dumps({"p": 3, "d": d, "entries": [["1", "0"], ["0", "1"]]}))
+        for argv in (["verify", str(path)], ["recipe", "--p", "3", "--d", str(d), "--f", "1", "--h", "1"]):
+            start = time.perf_counter()
+            code, out, err = run(capsys, argv)
+            assert time.perf_counter() - start < 1.0, argv
+            assert (code, out) == (2, ""), argv
+            assert err.splitlines()[-1] == f"error: number of variables {d} exceeds 62"
+    path.write_text(json.dumps({"p": 3, "d": 62, "entries": [["1", "0"], ["0", "1"]]}))
+    assert run(capsys, ["verify", str(path)]) == (0, '{"symplectic": true}\n', "")
+
+
 # -- compose / invert / factor --------------------------------------------------------
 
 

@@ -342,3 +342,21 @@ def test_word_json_example_and_errors():
         word_from_json_list(3, [{"q": 1}])
     with pytest.raises(ValueError):
         word_from_json_list(3, [{"shift": 1, "g": {"n": 1, "c": 1}}])
+
+
+@pytest.mark.parametrize(
+    "letter",
+    [
+        {"g": {"n": 1.9, "c": True}},
+        {"shift": "2"},
+        {"f": {"c": 2.5}},
+        {"g": 5},
+        {"g": {"n": 1}},
+        {"ug": {"n": 1, "c": 1, "x": 0}},
+        {"shift": None},
+    ],
+)
+def test_word_json_takes_only_integers(letter):
+    """Only JSON integers are letter values: no float, string, boolean or missing member."""
+    with pytest.raises(ValueError, match=r"^letter 1: "):
+        word_from_json_list(3, [{"shift": 1}, letter])
