@@ -10,15 +10,20 @@ mutants.json, next to this file, lists the mutants.  Each one holds
     new     the replacement
     tests   the pytest node ids that must fail once the text is replaced
     why     one line: what the mutant breaks
+    equivalent  (optional) why the mutant cannot change any result; its
+            tests must then pass, since no test can tell it from the source
 
 For each mutant the script copies src/ to a temporary directory, applies the
 mutant there and runs its tests against the copy with -x -q -p no:cacheprovider.
 A mutant is killed when the tests fail (or run past the time limit), survived
-when they pass, and stale when its old text does not occur exactly once.  The
-named tests first run once against an unmutated copy, which must pass.  The
-script prints one line per mutant and a summary line, and exits 1 on any
-survivor or stale entry; the working tree is never changed.  It is not part of
-the Tier-1 suite because of its run time.
+when they pass, and stale when its old text does not occur exactly once.  A
+mutant with an `equivalent` reason is equivalent when its tests pass, and
+refuted when they fail: then it is not equivalent, and its entry needs a
+reason of the other kind.  The named tests first run once against an
+unmutated copy, which must pass.  The script prints one line per mutant and a
+summary line, and exits 1 on any survivor, stale or refuted entry; the working
+tree is never changed.  It is not part of the Tier-1 suite because of its run
+time.
 """
 
 from __future__ import annotations
@@ -53,7 +58,7 @@ def main(ids) -> int:
         mutants = json.load(fh)
     if ids:
         mutants = [m for m in mutants if m["id"] in ids]
-    counts = {"killed": 0, "survived": 0, "stale": 0}
+    counts = dict.fromkeys(("killed", "survived", "stale", "equivalent", "refuted"), 0)
     with tempfile.TemporaryDirectory() as workdir:
         src = os.path.join(workdir, "src")
         shutil.copytree(os.path.join(ROOT, "src"), src)
@@ -74,13 +79,17 @@ def main(ids) -> int:
                 outcome = run_tests(src, m["tests"])
                 with open(path, "w", encoding="utf-8") as fh:
                     fh.write(original)
-                verdict = "survived" if outcome == "passed" else "killed"
+                if "equivalent" in m:
+                    verdict = "equivalent" if outcome == "passed" else "refuted"
+                else:
+                    verdict = "survived" if outcome == "passed" else "killed"
                 if outcome == "timeout":
                     verdict += f" (no result in {TIMEOUT_S} s)"
             counts[verdict.split()[0]] += 1
-            print(f"{verdict:9} {m['id']}  ({time.perf_counter() - start:.1f} s)  {m['why']}", flush=True)
-    print(f"{len(mutants)} mutants: {counts['killed']} killed, {counts['survived']} survived, {counts['stale']} stale")
-    return 1 if counts["survived"] or counts["stale"] else 0
+            why = m.get("equivalent", m["why"])
+            print(f"{verdict:10} {m['id']}  ({time.perf_counter() - start:.1f} s)  {why}", flush=True)
+    print(f"{len(mutants)} mutants: " + ", ".join(f"{n} {verdict}" for verdict, n in counts.items()))
+    return 1 if counts["survived"] or counts["stale"] or counts["refuted"] else 0
 
 
 if __name__ == "__main__":
