@@ -373,7 +373,11 @@ def _emit_csv(blocks, d: int, out) -> None:
 
 
 def _fields(column, sep: str) -> np.ndarray:
-    """The fields f"{value}{sep}" of a column as NUL-padded bytes, each distinct value formatted once."""
+    """The fields f"{value}{sep}" of a column as NUL-padded bytes, each distinct value formatted once.
+
+    The table's itemsize is a power of two, which numpy gathers faster than
+    an odd one (a cell column's "-256," is five bytes); the padding is NUL.
+    """
     lo, hi = int(column.min()), int(column.max())
     # Values denser than the rows index a table of their range, with no sort.
     if column.dtype != object and hi - lo < len(column):
@@ -381,7 +385,9 @@ def _fields(column, sep: str) -> np.ndarray:
     else:
         values, index = np.unique(column, return_inverse=True)
         values = values.tolist()
-    return np.array([f"{v}{sep}".encode("ascii") for v in values])[index]
+    fields = [f"{v}{sep}".encode("ascii") for v in values]
+    width = max(map(len, fields))
+    return np.array(fields, dtype=f"S{1 << (width - 1).bit_length()}")[index]
 
 
 def _ascii_window(s, xi0, steps):

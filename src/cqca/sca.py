@@ -21,10 +21,12 @@ identity extends that to x_{t+2q} = tr(s)(u^q) x_{t+q} - u^2qa x_t for every
 q = p^j, j >= 0, which gives q slices at once by one shifted multiply-add
 per trace term.  Orbits step that way on coefficient windows, a block at a
 time, and with apply() where the windows would not suit them (see
-ScaMatrix._orbit_recurrence).  The windows hold nonnegative int64 sums and
-are reduced mod p lazily: rows are reduced only when a bound on their
-entries would let the next sums reach 2^63, and each block is reduced once
-before it is read out (see _block_orbit and _orbit_plan).
+ScaMatrix._orbit_recurrence).  The windows hold nonnegative sums in the
+narrowest of int16, int32 and int64 that holds one step from rows reduced
+mod p, and are reduced mod p lazily: rows are reduced only when a bound on
+their entries would let the next sums pass that type's largest value, and
+each block is reduced once before it is read out (see _window_dtype,
+_block_orbit and _orbit_plan).
 """
 
 from __future__ import annotations
@@ -374,7 +376,17 @@ def _block_steps(width, growth) -> int:
     return b
 
 
-def _orbit_plan(rows: int, p: int, total: int, neg_c: int):
+def _window_dtype(p: int, total: int, neg_c: int):
+    """The narrowest of int16, int32 and int64 that holds one step from reduced rows.
+
+    A step from rows reduced mod p sums to at most (total + neg_c)(p - 1);
+    _orbit_recurrence admits an orbit only where that fits int64.
+    """
+    need = (total + neg_c) * (p - 1)
+    return next(t for t in (np.int16, np.int32, np.int64) if np.iinfo(t).max >= need)
+
+
+def _orbit_plan(rows: int, p: int, total: int, neg_c: int, top: int):
     """The steps of a block of `rows` states, as (k, q, m, reduce) in order.
 
     Each entry computes states k to k + m - 1 from states k - q ... and
@@ -383,10 +395,10 @@ def _orbit_plan(rows: int, p: int, total: int, neg_c: int):
     step.  Every row k keeps the bound B_k = total B_(k-q) + neg_c B_(k-2q)
     of its entries, and B = p - 1 for a reduced row; `reduce` marks the
     entries whose rows are reduced, those with a bound past
-    (2^63 - 1) // (total + neg_c), so every row read later keeps the sums
-    of its step below 2^63.
+    top // (total + neg_c), so every row read later keeps the sums of its
+    step at most top, the largest value of the window's dtype.
     """
-    limit = ((1 << 63) - 1) // (total + neg_c)
+    limit = top // (total + neg_c)
     bound = [p - 1, p - 1]
     plan = []
     q, k = 1, 2
@@ -437,24 +449,34 @@ def _block_orbit(s, xi: PhaseVector, steps: int, trace, e, c, lo, hi):
     trace coefficients and p - c), so with S the sum of the trace
     coefficients, a row stays below B_k = S B_{k-q} + (p - c) B_{k-2q},
     which _orbit_plan tracks as Python ints; B = p - 1 for a reduced row.
-    The rows are reduced in place only when a bound exceeds
-    (2^63 - 1) // (S + p - c), so every unreduced input keeps the next
-    sums below 2^63.  A reduced row is a valid input too: _orbit_recurrence
-    admits the trace only when (len(trace) + 1) p^2 < 2^63, and
-    (S + p - c)(p - 1) is below that.  Each row is an exact integer
-    combination of earlier rows with coefficients congruent to those of
-    the recurrences, so it stays congruent mod p to its state however
-    late it is reduced.  The whole block is reduced once at the end, and
-    its first b states are read out through one mask of their support;
-    the next block starts from the two after them.
+    The windows are of the narrowest dtype whose largest value M is at
+    least (S + p - c)(p - 1) (_window_dtype), and rows are reduced in place
+    only when a bound exceeds M // (S + p - c), so every unreduced input
+    keeps the next sums at most M.  A reduced row is a valid input too, by
+    the choice of M; int64 always qualifies, since _orbit_recurrence admits
+    the trace only when (len(trace) + 1) p^2 < 2^63.  The scalars p, p - c
+    and the trace coefficients are Python ints, which numpy applies in the
+    window's dtype; each is at most M, as p - 1 <= M and no dtype's M + 1
+    is an odd prime, and each intermediate sum is at most the bound of the
+    row it adds to.  Each row is an exact integer combination of earlier
+    rows with coefficients congruent to those of the recurrences, so it
+    stays congruent mod p to its state however late it is reduced.  The
+    whole block is reduced once at the end, and its first b states are read
+    out through one mask of their support, plus and minus cast to
+    coefficient_dtype(p) after the gather; the next block starts from the
+    two after them.  The blocks of one orbit mostly have the same row
+    count, so each row count's plan is made once per orbit.
     """
     p, d = s.p, s.d
     growth = [z - a for a, z in zip(lo, hi)]
-    neg_c = p - c
+    neg_c = p - int(c)
     tr_exps = np.array(list(trace.terms), dtype=np.int64).reshape(len(trace.terms), d) - lo
-    tr_coeffs = list(trace.terms.values())
+    tr_coeffs = [int(a) for a in trace.terms.values()]
     det_exp = [x - 2 * a for x, a in zip(e, lo)]
     total = sum(tr_coeffs)
+    dtype = _window_dtype(p, total, neg_c)
+    top = int(np.iinfo(dtype).max)
+    plans = {}  # by row count: the blocks of one orbit mostly share theirs
     # The first pair of states, on the bounding box of their support.
     x1 = s.apply(xi)
     back = tuple(-a for a in lo)
@@ -464,7 +486,7 @@ def _block_orbit(s, xi: PhaseVector, steps: int, trace, e, c, lo, hi):
     width = [max(col) - o + 1 for col, o in zip(cols, origin)]
     strides = _strides(width)
     n = math.prod(width)
-    pair = np.stack([_coeff_window(poly, origin, strides, n) for poly in pair])
+    pair = np.stack([_coeff_window(poly, origin, strides, n, dtype) for poly in pair])
     pair = pair.reshape((2, 2) + tuple(width))
     t0 = 0
     while t0 <= steps:
@@ -473,13 +495,15 @@ def _block_orbit(s, xi: PhaseVector, steps: int, trace, e, c, lo, hi):
         shape = [w + (rows - 2) * g for w, g in zip(width, growth)]
         strides = _strides(shape)
         n = math.prod(shape)
-        states = np.zeros((rows, 2) + tuple(shape), dtype=np.int64)
+        states = np.zeros((rows, 2) + tuple(shape), dtype=dtype)
         states[(slice(0, 2), slice(None)) + tuple(slice(0, w) for w in width)] = pair
         states = states.reshape(rows, 2 * n)
         taps = list(zip((tr_exps @ strides).tolist(), tr_coeffs))
         shift = sum(x * y for x, y in zip(det_exp, strides))  # below n: x_t is never zero
         size = 2 * n
-        for k, q, m, reduce in _orbit_plan(rows, p, total, neg_c):
+        if rows not in plans:
+            plans[rows] = _orbit_plan(rows, p, total, neg_c, top)
+        for k, q, m, reduce in plans[rows]:
             out = states[k : k + m]
             for f, a in taps:
                 x = states[k - q : k - q + m, : size - q * f]
@@ -499,7 +523,8 @@ def _block_orbit(s, xi: PhaseVector, steps: int, trace, e, c, lo, hi):
             cells = fi + (origin[0] + t * lo[0])
         else:
             cells = np.stack(np.unravel_index(fi, shape), axis=1) + origin + np.outer(t, lo)
-        yield t0, t0 + b, t, cells, plus[support], minus[support]
+        coeffs = coefficient_dtype(p)
+        yield t0, t0 + b, t, cells, plus[support].astype(coeffs), minus[support].astype(coeffs)
         t0 += b
         if t0 > steps:
             return

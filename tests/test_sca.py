@@ -151,17 +151,17 @@ def test_orbit_matches_apply_stepping():
         assert_orbit_is_apply(s, xi, steps, s.radius())
 
 
-def recorded_plans():
-    """(entries, patch): the patch makes sca._orbit_plan record every entry it returns."""
-    entries = []
-    real = sca._orbit_plan
+def recorded(name, keep=list.append):
+    """(results, patch): the patch makes sca.<name> keep what it returns in results."""
+    results = []
+    real = getattr(sca, name)
 
     def record(*args):
-        plan = real(*args)
-        entries.extend(plan)
-        return plan
+        out = real(*args)
+        keep(results, out)
+        return out
 
-    return entries, mock.patch.object(sca, "_orbit_plan", record)
+    return results, mock.patch.object(sca, name, record)
 
 
 def unit_trace(p, d=1, shift_by=None):
@@ -210,7 +210,7 @@ def test_orbit_groups_match_apply_iterates():
 
     seen = set()
     for s, xi, steps, block_steps, block_cells, want in cases:
-        entries, patch = recorded_plans()
+        entries, patch = recorded("_orbit_plan", list.extend)
         with patch, mock.patch.object(sca, "_BLOCK_STEPS", block_steps), mock.patch.object(sca, "_BLOCK_CELLS", block_cells):
             assert_orbit_is_apply(s, xi, steps, s.radius())
         groups = [(q, m, reduce) for _, q, m, reduce in entries if q > 1]
@@ -219,10 +219,53 @@ def test_orbit_groups_match_apply_iterates():
     assert ("partial", False) in seen and ("full", True) in seen
 
 
+def test_orbit_window_dtype_at_each_boundary():
+    """Each orbit steps its windows in the narrowest of int16, int32 and int64
+    whose max is at least (S + p - c)(p - 1), and gives the apply() iterates on
+    either side of the int16 and int32 maxima.
+
+    diag(a u, b) has trace a u + b (S = a + b) and determinant ab u.  The
+    maxima are odd and p - 1 is even for odd p, so no odd p lands exactly on
+    one; the cases below a maximum are the closest such a matrix reaches.
+    Blocks of 1024 steps let the p = 257 and 421 orbits run groups of p
+    slices, and every case reduces rows inside its blocks.
+    """
+    cases = [  # (p, a, b, steps, (S + p - c)(p - 1), dtype that must run)
+        (421, 9, 44, 900, 32760, np.int16),
+        (257, 3, 66, 600, 2**15, np.int32),
+        (65539, 5, 24579, 40, 2**31 - 2, np.int32),
+        (65537, 3, 16386, 40, 2**31, np.int64),
+    ]
+    rng = random.Random(20)
+    for p, a, b, steps, need, want in cases:
+        s = ScaMatrix(poly(p, {1: a}), poly(p, {}), poly(p, {}), poly(p, {0: b}))
+        assert (a + b + p - a * b % p) * (p - 1) == need
+        xi = PhaseVector(poly(p, {x: rng.randint(1, p - 1) for x in range(4)}), poly(p, {x: rng.randint(1, p - 1) for x in range(-2, 3)}))
+        dtypes, dtype_patch = recorded("_window_dtype")
+        entries, plan_patch = recorded("_orbit_plan", list.extend)
+        with (
+            dtype_patch,
+            plan_patch,
+            mock.patch.object(sca, "_BLOCK_STEPS", 1024),
+            mock.patch.object(sca, "_BLOCK_CELLS", 1 << 21),
+        ):
+            assert_orbit_is_apply(s, xi, steps, s.radius())
+        assert dtypes == [want], (p, need)
+        assert any(reduce for _, _, _, reduce in entries), p
+        if p < 1000:
+            assert any(q == p and reduce for _, q, _, reduce in entries), p
+    # Past int16 by a factor of two: every row is p - 1 = 256, so a step from
+    # reduced rows sums to 66048 and an int16 window would wrap.
+    full = poly(257, {x: 256 for x in range(6)})
+    assert_orbit_is_apply(ScaMatrix(poly(257, {1: 1}), poly(257, {}), poly(257, {}), poly(257, {0: 1})), PhaseVector(full, full), 30, 1)
+
+
 def test_orbit_plan_bounds_every_row():
     """Each plan covers its rows in order, takes at row k the largest power
     q = p^j (j >= 0) with 2q <= k and min(q, rows - k) rows, and reduces
-    exactly the entries whose bound would pass the int64 limit."""
+    exactly the entries whose bound would pass the limit of the window's
+    dtype; each draw is replayed at every dtype that holds one step from
+    reduced rows."""
     rng = random.Random(7)
     for p in (2, 3, 5, 7, 1048573):
         for _ in range(40):
@@ -230,19 +273,21 @@ def test_orbit_plan_bounds_every_row():
             total = sum(rng.randint(1, p - 1) for _ in range(terms))
             neg_c = rng.randint(1, p - 1)
             rows = rng.choice((2, 3, 5, 17, 50, 130, 702))
-            limit = ((1 << 63) - 1) // (total + neg_c)
-            bound = [p - 1, p - 1]
-            k = 2
-            for at, q, m, reduce in sca._orbit_plan(rows, p, total, neg_c):
-                top = 1
-                while 2 * top * p <= k:
-                    top *= p
-                assert (at, q, m) == (k, top, min(top, rows - k))
-                new = [total * bound[j - q] + neg_c * bound[j - 2 * q] for j in range(k, k + m)]
-                assert reduce == (max(new) > limit)
-                bound += [p - 1] * m if reduce else new
-                k += m
-            assert k == max(rows, 2) and max(bound) <= limit
+            tops = [int(np.iinfo(t).max) for t in (np.int16, np.int32, np.int64)]
+            for top in [top for top in tops if top >= (total + neg_c) * (p - 1)]:
+                limit = top // (total + neg_c)
+                bound = [p - 1, p - 1]
+                k = 2
+                for at, q, m, reduce in sca._orbit_plan(rows, p, total, neg_c, top):
+                    high = 1
+                    while 2 * high * p <= k:
+                        high *= p
+                    assert (at, q, m) == (k, high, min(high, rows - k))
+                    new = [total * bound[j - q] + neg_c * bound[j - 2 * q] for j in range(k, k + m)]
+                    assert reduce == (max(new) > limit)
+                    bound += [p - 1] * m if reduce else new
+                    k += m
+                assert k == max(rows, 2) and max(bound) <= limit
 
 
 def test_frobenius_identity_by_definition():
