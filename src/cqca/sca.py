@@ -475,7 +475,8 @@ def _block_orbit(s, xi: PhaseVector, steps: int, trace, e, c, lo, hi):
     det_exp = [x - 2 * a for x, a in zip(e, lo)]
     total = sum(tr_coeffs)
     dtype = _window_dtype(p, total, neg_c)
-    top = int(np.iinfo(dtype).max)
+    top = np.iinfo(dtype).max
+    coeffs = coefficient_dtype(p)
     plans = {}  # by row count: the blocks of one orbit mostly share theirs
     # The first pair of states, on the bounding box of their support.
     x1 = s.apply(xi)
@@ -523,7 +524,6 @@ def _block_orbit(s, xi: PhaseVector, steps: int, trace, e, c, lo, hi):
             cells = fi + (origin[0] + t * lo[0])
         else:
             cells = np.stack(np.unravel_index(fi, shape), axis=1) + origin + np.outer(t, lo)
-        coeffs = coefficient_dtype(p)
         yield t0, t0 + b, t, cells, plus[support].astype(coeffs), minus[support].astype(coeffs)
         t0 += b
         if t0 > steps:
