@@ -21,12 +21,12 @@ identity extends that to x_{t+2q} = tr(s)(u^q) x_{t+q} - u^2qa x_t for every
 q = p^j, j >= 0, which gives q slices at once by one shifted multiply-add
 per trace term.  Orbits step that way on coefficient windows, a block at a
 time, and with apply() where the windows would not suit them (see
-ScaMatrix._orbit_recurrence).  The windows hold nonnegative sums in the
-narrowest of int16, int32 and int64 that holds one step from rows reduced
-mod p, and are reduced mod p lazily: rows are reduced only when a bound on
-their entries would let the next sums pass that type's largest value, and
-each block is reduced once before it is read out (see _window_dtype,
-_block_orbit and _orbit_plan).
+ScaMatrix._orbit_recurrence).  The rows of each such multiply-add are
+reduced mod p as soon as they are computed, so every step reads reduced
+rows and sums to at most (S + p - c)(p - 1), with S the sum of the trace
+coefficients; the windows hold those sums in the narrowest of int16, int32
+and int64 that holds them, and an orbit that not even int64 holds steps
+with apply() (see _window_dtype, _block_orbit and _orbit_plan).
 """
 
 from __future__ import annotations
@@ -191,13 +191,14 @@ class ScaMatrix:
         return _light_cone_checked(blocks, xi.support(), self.radius())
 
     def _orbit_recurrence(self, xi: PhaseVector, steps: int):
-        """(trace, det exponent, det coefficient, lo, hi) for _block_orbit, or None.
+        """(trace, det exponent, det coefficient, lo, hi, dtype) for _block_orbit, or None.
 
         None sends the orbit to _apply_orbit: a zero start, a hollow start (both
         components together: the first window) or hollow entries (all four
         together: the growth per step), a determinant that is not a
-        monomial, int64 overflow in one step, or exponents near 2^62.  lo and
-        hi are the lowest and highest entry exponents per axis.
+        monomial, a step whose sums no window dtype holds (_window_dtype), or
+        exponents near 2^62.  lo and hi are the lowest and highest entry
+        exponents per axis, and dtype is the windows' integer type.
         """
         if xi.is_zero():
             return None
@@ -211,17 +212,17 @@ class ScaMatrix:
         det = self.det()
         if len(det.terms) != 1:
             return None
+        ((e, c),) = det.terms.items()
         trace = self.pp + self.mm
-        # A step sums len(trace) products of residues, plus c times a residue.
-        if coefficient_dtype(self.p, len(trace.terms) + 1) is not np.int64:
+        dtype = _window_dtype(self.p, sum(map(int, trace.terms.values())), self.p - int(c))
+        if dtype is None:
             return None
         cols = list(zip(*cells))
         lo, hi = [min(c) for c in cols], [max(c) for c in cols]
         reach = max(abs(v) for x in start for v in x)
         if reach + (steps + 1) * max(map(abs, lo + hi)) >= _DENSE_MAX_EXP:
             return None
-        ((e, c),) = det.terms.items()
-        return trace, e, c, lo, hi
+        return trace, e, c, lo, hi, dtype
 
     def _apply_orbit(self, xi: PhaseVector, steps: int):
         """Blocks of one slice each, of an orbit stepped with apply() on the sparse dicts.
@@ -377,44 +378,35 @@ def _block_steps(width, growth) -> int:
 
 
 def _window_dtype(p: int, total: int, neg_c: int):
-    """The narrowest of int16, int32 and int64 that holds one step from reduced rows.
+    """The narrowest of int16, int32 and int64 that holds one step from reduced rows, or None.
 
     A step from rows reduced mod p sums to at most (total + neg_c)(p - 1);
-    _orbit_recurrence admits an orbit only where that fits int64.
+    None when that passes the largest int64.
     """
     need = (total + neg_c) * (p - 1)
-    return next(t for t in (np.int16, np.int32, np.int64) if np.iinfo(t).max >= need)
+    return next((t for t in (np.int16, np.int32, np.int64) if np.iinfo(t).max >= need), None)
 
 
-def _orbit_plan(rows: int, p: int, total: int, neg_c: int, top: int):
-    """The steps of a block of `rows` states, as (k, q, m, reduce) in order.
+def _orbit_plan(rows: int, p: int):
+    """The steps of a block of `rows` states, as (k, q, m) in order.
 
     Each entry computes states k to k + m - 1 from states k - q ... and
     k - 2q ... (see _block_orbit): at row k, q is the largest power p^j
     (j >= 0) with 2q <= k, and m = min(q, rows - k), so q = 1 is a single
-    step.  Every row k keeps the bound B_k = total B_(k-q) + neg_c B_(k-2q)
-    of its entries, and B = p - 1 for a reduced row; `reduce` marks the
-    entries whose rows are reduced, those with a bound past
-    top // (total + neg_c), so every row read later keeps the sums of its
-    step at most top, the largest value of the window's dtype.
+    step.
     """
-    limit = top // (total + neg_c)
-    bound = [p - 1, p - 1]
     plan = []
     q, k = 1, 2
     while k < rows:
         while 2 * q * p <= k:
             q *= p
         m = min(q, rows - k)
-        new = [total * a + neg_c * b for a, b in zip(bound[k - q : k - q + m], bound[k - 2 * q : k - 2 * q + m])]
-        reduce = max(new) > limit
-        bound += [p - 1] * m if reduce else new
-        plan.append((k, q, m, reduce))
+        plan.append((k, q, m))
         k += m
     return plan
 
 
-def _block_orbit(s, xi: PhaseVector, steps: int, trace, e, c, lo, hi):
+def _block_orbit(s, xi: PhaseVector, steps: int, trace, e, c, lo, hi, dtype):
     """Blocks of an orbit stepped by x_{t+2q} = tr(s)(u^q) x_{t+q} - c u^(qe) x_t.
 
     Cayley-Hamilton gives s^2 = tr(s) s - det(s) I for any 2x2 matrix, and
@@ -445,27 +437,19 @@ def _block_orbit(s, xi: PhaseVector, steps: int, trace, e, c, lo, hi):
     is linear in the exponents, and the state the terms sum to lies in the
     box.
 
-    Reductions mod p are deferred.  Every term is nonnegative (residues,
-    trace coefficients and p - c), so with S the sum of the trace
-    coefficients, a row stays below B_k = S B_{k-q} + (p - c) B_{k-2q},
-    which _orbit_plan tracks as Python ints; B = p - 1 for a reduced row.
-    The windows are of the narrowest dtype whose largest value M is at
-    least (S + p - c)(p - 1) (_window_dtype), and rows are reduced in place
-    only when a bound exceeds M // (S + p - c), so every unreduced input
-    keeps the next sums at most M.  A reduced row is a valid input too, by
-    the choice of M; int64 always qualifies, since _orbit_recurrence admits
-    the trace only when (len(trace) + 1) p^2 < 2^63.  The scalars p, p - c
+    The rows of each plan entry are reduced mod p right after their
+    multiply-adds, so every row a step reads is reduced (the first pair
+    comes from polynomials, and each next block starts from reduced rows).
+    Every term is nonnegative (residues, trace coefficients and p - c), so
+    with S the sum of the trace coefficients a step sums to at most
+    (S + p - c)(p - 1), and every partial sum stays below that.  The
+    windows are of dtype, the narrowest whose largest value M holds it
+    (_window_dtype, which _orbit_recurrence asked).  The scalars p, p - c
     and the trace coefficients are Python ints, which numpy applies in the
     window's dtype; each is at most M, as p - 1 <= M and no dtype's M + 1
-    is an odd prime, and each intermediate sum is at most the bound of the
-    row it adds to.  Each row is an exact integer combination of earlier
-    rows with coefficients congruent to those of the recurrences, so it
-    stays congruent mod p to its state however late it is reduced.  The
-    whole block is reduced once at the end, and its first b states are read
-    out through one mask of their support, plus and minus cast to
-    coefficient_dtype(p) after the gather; the next block starts from the
-    two after them.  The blocks of one orbit mostly have the same row
-    count, so each row count's plan is made once per orbit.
+    is an odd prime.  The first b states of a block are read out through
+    one mask of their support, plus and minus cast to coefficient_dtype(p)
+    after the gather; the next block starts from the two after them.
     """
     p, d = s.p, s.d
     growth = [z - a for a, z in zip(lo, hi)]
@@ -473,11 +457,7 @@ def _block_orbit(s, xi: PhaseVector, steps: int, trace, e, c, lo, hi):
     tr_exps = np.array(list(trace.terms), dtype=np.int64).reshape(len(trace.terms), d) - lo
     tr_coeffs = [int(a) for a in trace.terms.values()]
     det_exp = [x - 2 * a for x, a in zip(e, lo)]
-    total = sum(tr_coeffs)
-    dtype = _window_dtype(p, total, neg_c)
-    top = np.iinfo(dtype).max
     coeffs = coefficient_dtype(p)
-    plans = {}  # by row count: the blocks of one orbit mostly share theirs
     # The first pair of states, on the bounding box of their support.
     x1 = s.apply(xi)
     back = tuple(-a for a in lo)
@@ -502,17 +482,13 @@ def _block_orbit(s, xi: PhaseVector, steps: int, trace, e, c, lo, hi):
         taps = list(zip((tr_exps @ strides).tolist(), tr_coeffs))
         shift = sum(x * y for x, y in zip(det_exp, strides))  # below n: x_t is never zero
         size = 2 * n
-        if rows not in plans:
-            plans[rows] = _orbit_plan(rows, p, total, neg_c, top)
-        for k, q, m, reduce in plans[rows]:
+        for k, q, m in _orbit_plan(rows, p):
             out = states[k : k + m]
             for f, a in taps:
                 x = states[k - q : k - q + m, : size - q * f]
                 out[:, q * f :] += x if a == 1 else a * x
             out[:, q * shift :] += neg_c * states[k - 2 * q : k - 2 * q + m, : size - q * shift]
-            if reduce:
-                out -= out // p * p
-        states -= states // p * p  # as states %= p; numpy floor-divides by a scalar faster
+            out -= out // p * p  # as out %= p; numpy floor-divides by a scalar faster
         comps = states.reshape(rows, 2, n)
         plus, minus = comps[:b, 0], comps[:b, 1]
         support = (plus | minus) != 0

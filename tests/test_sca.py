@@ -106,10 +106,9 @@ def test_orbit_matches_apply_stepping():
         recipe = from_recipe(full, LaurentPoly.constant(q, 1, q - 1))
         cases.append((recipe, PhaseVector(full, full), 6, True))
         cases.append((ScaMatrix(full, full, full, full), PhaseVector(full, full), 6, False))
-    # Reduction cadence: traces with every coefficient nonzero.  At p = 2,
-    # radius 4 (S = 9, p - c = 1) and p = 3, radius 1 (S = 6, p - c = 2) the
-    # bound allows the longest runs of unreduced steps, and a block holds
-    # every step; at p = 1048573 every step is reduced.
+    # Traces with every coefficient nonzero, in one block of every step: p = 2,
+    # radius 4 (S = 9, p - c = 1) and p = 3, radius 1 (S = 6, p - c = 2) on
+    # int16 windows, and p = 1048573 on int64 windows.
     ones = poly(2, {e: 1 for e in range(-4, 5) if e})
     cases.append((from_recipe(ones, LaurentPoly.one(2, 1)), PhaseVector(poly(2, {0: 1, 1: 1}), poly(2, {-1: 1})), 60, True))
     twos = poly(3, {-1: 2, 0: 1, 1: 2})
@@ -120,12 +119,16 @@ def test_orbit_matches_apply_stepping():
     cases.append((shear_g(3, 2, 1), PhaseVector.e_plus(3), 0, True))
     # The windows move with a shift, however far it goes in one step.
     cases.append((shift(3, 1, 2**31), PhaseVector(poly(3, {0: 1, 1: 2}), poly(3, {5: 1})), 3, True))
-    # At p = 2^31 - 1 a one-term trace keeps a step's sums inside int64, and a
-    # longer one does not.
+    # At p = 2^31 - 1 a step sums to at most (S + p - c)(p - 1): inside int64
+    # for the traces 2 and 15u^-2 + 32 + 15u^2 (c = 1), and past it for
+    # (p - 1)(u + u^-1), although S (p - 1) alone would fit.
     big = 2147483647
     start = PhaseVector(poly(big, {-5: 1, 7: 1}), poly(big, {0: 1}))
     cases.append((shear_g(big, 1, 5), start, 8, True))
-    cases.append((shear_g(big, 1, 5) @ upper_shear_g(big, 1, 3), start, 8, False))
+    cases.append((shear_g(big, 1, 5) @ upper_shear_g(big, 1, 3), start, 8, True))
+    edge = from_recipe(poly(big, {1: big - 1, -1: big - 1}), LaurentPoly.zero(big, 1))
+    assert 2 * (big - 1) ** 2 < 2**63 <= 3 * (big - 1) ** 2
+    cases.append((edge, start, 8, False))
     # Dict path: hollow entries, hollow start, zero start.
     cases.append((shear_g(5, 5**3, 2), PhaseVector(poly(5, {-5: 1, 7: 1}), poly(5, {0: 3})), 5, False))
     one2 = LaurentPoly.one(2, 1)
@@ -185,7 +188,7 @@ def diagonal_glider(p, d=1):
 def test_orbit_groups_match_apply_iterates():
     """Groups of q = p^j slices (sca._orbit_plan) give the apply() iterates: q = p,
     p^2 and p^3 at p = 2, 3, 5, 7, d = 2, shifted automata, fuller traces,
-    partial groups and groups that reduce their rows."""
+    and partial and full groups."""
     rng = random.Random(18)
     cases = []  # (matrix, start, steps, block steps, block cells, group sizes that must run)
     for p, steps in ((2, 20), (3, 24), (5, 56), (7, 104)):
@@ -213,22 +216,23 @@ def test_orbit_groups_match_apply_iterates():
         entries, patch = recorded("_orbit_plan", list.extend)
         with patch, mock.patch.object(sca, "_BLOCK_STEPS", block_steps), mock.patch.object(sca, "_BLOCK_CELLS", block_cells):
             assert_orbit_is_apply(s, xi, steps, s.radius())
-        groups = [(q, m, reduce) for _, q, m, reduce in entries if q > 1]
-        assert want <= {q for q, _, _ in groups}, (s, want)
-        seen |= {("partial" if m < q else "full", reduce) for q, m, reduce in groups}
-    assert ("partial", False) in seen and ("full", True) in seen
+        groups = [(q, m) for _, q, m in entries if q > 1]
+        assert want <= {q for q, _ in groups}, (s, want)
+        seen |= {"partial" if m < q else "full" for q, m in groups}
+    assert seen == {"partial", "full"}
 
 
 def test_orbit_window_dtype_at_each_boundary():
     """Each orbit steps its windows in the narrowest of int16, int32 and int64
     whose max is at least (S + p - c)(p - 1), and gives the apply() iterates on
-    either side of the int16 and int32 maxima.
+    either side of the int16 and int32 maxima; past the int64 maximum there
+    is no window dtype.
 
     diag(a u, b) has trace a u + b (S = a + b) and determinant ab u.  The
     maxima are odd and p - 1 is even for odd p, so no odd p lands exactly on
     one; the cases below a maximum are the closest such a matrix reaches.
     Blocks of 1024 steps let the p = 257 and 421 orbits run groups of p
-    slices, and every case reduces rows inside its blocks.
+    slices.
     """
     cases = [  # (p, a, b, steps, (S + p - c)(p - 1), dtype that must run)
         (421, 9, 44, 900, 32760, np.int16),
@@ -251,43 +255,29 @@ def test_orbit_window_dtype_at_each_boundary():
         ):
             assert_orbit_is_apply(s, xi, steps, s.radius())
         assert dtypes == [want], (p, need)
-        assert any(reduce for _, _, _, reduce in entries), p
         if steps >= 2 * p:
-            assert any(q == p and reduce for _, q, _, reduce in entries), p
+            assert any(q == p for _, q, _ in entries), p
     # Past int16 by a factor of two: every row is p - 1 = 256, so a step from
     # reduced rows sums to 66048 and an int16 window would wrap.
     full = poly(257, {x: 256 for x in range(6)})
     assert_orbit_is_apply(ScaMatrix(poly(257, {1: 1}), poly(257, {}), poly(257, {}), poly(257, {0: 1})), PhaseVector(full, full), 30, 1)
+    assert sca._window_dtype(2, 2**63 - 2, 1) is np.int64
+    assert sca._window_dtype(2, 2**63 - 1, 1) is None
 
 
-def test_orbit_plan_bounds_every_row():
-    """Each plan covers its rows in order, takes at row k the largest power
-    q = p^j (j >= 0) with 2q <= k and min(q, rows - k) rows, and reduces
-    exactly the entries whose bound would pass the limit of the window's
-    dtype; each draw is replayed at every dtype that holds one step from
-    reduced rows."""
-    rng = random.Random(7)
-    tops = [np.iinfo(t).max for t in (np.int16, np.int32, np.int64)]
+def test_orbit_plan_covers_every_row():
+    """Each plan covers its rows in order and takes at row k the largest power
+    q = p^j (j >= 0) with 2q <= k and min(q, rows - k) rows."""
     for p in (2, 3, 5, 7, 1048573):
-        for _ in range(40):
-            terms = rng.randint(0, 9)
-            total = sum(rng.randint(1, p - 1) for _ in range(terms))
-            neg_c = rng.randint(1, p - 1)
-            rows = rng.choice((2, 3, 5, 17, 50, 130, 702))
-            for top in [top for top in tops if top >= (total + neg_c) * (p - 1)]:
-                limit = top // (total + neg_c)
-                bound = [p - 1, p - 1]
-                k = 2
-                for at, q, m, reduce in sca._orbit_plan(rows, p, total, neg_c, top):
-                    high = 1
-                    while 2 * high * p <= k:
-                        high *= p
-                    assert (at, q, m) == (k, high, min(high, rows - k))
-                    new = [total * bound[j - q] + neg_c * bound[j - 2 * q] for j in range(k, k + m)]
-                    assert reduce == (max(new) > limit)
-                    bound += [p - 1] * m if reduce else new
-                    k += m
-                assert k == max(rows, 2) and max(bound) <= limit
+        for rows in (2, 3, 5, 17, 50, 130, 702):
+            k = 2
+            for at, q, m in sca._orbit_plan(rows, p):
+                high = 1
+                while 2 * high * p <= k:
+                    high *= p
+                assert (at, q, m) == (k, high, min(high, rows - k))
+                k += m
+            assert k == max(rows, 2)
 
 
 def test_frobenius_identity_by_definition():
