@@ -38,7 +38,7 @@ import numpy as np
 from . import factor as factor_mod
 from . import sca
 from .cocycle import cocycle_failure, default_phase
-from .laurent import MAX_VARIABLES, LaurentPoly, _check_ring
+from .laurent import LaurentPoly, _check_ring
 from .phasespace import PhaseVector
 
 __all__ = ["PolyParseError", "parse_poly", "main"]
@@ -125,13 +125,12 @@ _FACTOR = re.compile(r"\s*u([0-9]*)\s*(?:\^\s*([+-]?)([0-9]*))?")
 
 
 def parse_poly(text: str, p: int, d: int = 1) -> LaurentPoly:
-    """Parse a polynomial string; raises PolyParseError with a character offset."""
-    if d > MAX_VARIABLES:  # before the grammar and the term loop, whose cost grows with d
-        _check_ring(p, d)
+    """Parse a polynomial string; raises ValueError for a bad ring, before any
+    PolyParseError, which names a character offset."""
+    _check_ring(p, d)  # before the grammar and the term loop, whose cost grows with d
     terms = _decode(text, d)
     if terms is None:
         terms = _scan_terms(text, d)
-    _check_ring(p, d)
     return LaurentPoly._raw(p, d, {key: c % p for key, c in terms.items() if c % p})
 
 

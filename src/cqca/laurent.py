@@ -201,7 +201,7 @@ class LaurentPoly:
 
     @classmethod
     def zero(cls, p, d=1):
-        check_prime(p)
+        _check_ring(p, d)
         return cls._raw(p, d, {})
 
     @classmethod
@@ -210,13 +210,13 @@ class LaurentPoly:
 
     @classmethod
     def constant(cls, p, d, c):
-        check_prime(p)
+        _check_ring(p, d)
         c = int(c) % p
         return cls._raw(p, d, {(0,) * d: c} if c else {})
 
     @classmethod
     def monomial(cls, p, d, exponent, c=1):
-        check_prime(p)
+        _check_ring(p, d)
         e = _as_exponent(exponent, d)
         c = int(c) % p
         return cls._raw(p, d, {e: c} if c else {})

@@ -116,14 +116,14 @@ class PhaseVector:
     @classmethod
     def e_plus(cls, p, d=1, x=None):
         """Unit vector with a single plus (Z-type) excitation at cell x (default: origin)."""
-        x = (0,) * d if x is None else x
-        return cls(LaurentPoly.monomial(p, d, x), LaurentPoly.zero(p, d))
+        zero = LaurentPoly.zero(p, d)  # checks the ring before d sizes the default cell
+        return cls(LaurentPoly.monomial(p, d, (0,) * d if x is None else x), zero)
 
     @classmethod
     def e_minus(cls, p, d=1, x=None):
         """Unit vector with a single minus (X-type) excitation at cell x (default: origin)."""
-        x = (0,) * d if x is None else x
-        return cls(LaurentPoly.zero(p, d), LaurentPoly.monomial(p, d, x))
+        zero = LaurentPoly.zero(p, d)  # checks the ring before d sizes the default cell
+        return cls(zero, LaurentPoly.monomial(p, d, (0,) * d if x is None else x))
 
     @classmethod
     def random(cls, rng, p, cells, d=1):

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 from collections import Counter
 
 import numpy as np
@@ -9,7 +10,9 @@ import pytest
 
 from cqca import (
     LaurentPoly,
+    PhaseVector,
     basis_element,
+    identity,
     palindrome_coeffs,
     palindrome_divmod,
     palindromize,
@@ -170,6 +173,28 @@ def test_constructor_accumulates_and_validates():
         LaurentPoly(3, 2, {(1,): 1})
     with pytest.raises(TypeError):
         LaurentPoly(3, 1, {(1.5,): 1})
+
+
+@pytest.mark.parametrize("d", [0, -1, 63, 1.0])
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda d: LaurentPoly(3, d, {}),
+        lambda d: LaurentPoly.zero(3, d),
+        lambda d: LaurentPoly.one(3, d),
+        lambda d: LaurentPoly.constant(3, d, 2),
+        lambda d: LaurentPoly.monomial(3, d, 0),
+        lambda d: identity(3, d),
+        lambda d: PhaseVector.e_plus(3, d),
+        lambda d: PhaseVector.e_minus(3, d),
+    ],
+    ids=["init", "zero", "one", "constant", "monomial", "identity", "e_plus", "e_minus"],
+)
+def test_constructors_refuse_a_bad_variable_count(make, d):
+    """Every constructor checks d as the LaurentPoly constructor does."""
+    message = f"number of variables {d} exceeds 62" if d == 63 else f"number of variables must be a positive int, got {d!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        make(d)
 
 
 def test_ring_mismatch_raises():
