@@ -483,6 +483,9 @@ def recipe_commands() -> list:
     add("bad-exponent", 3, "u^99999999999", "1")
     add("not-prime", 4, "1", "1")
     add("p-one", 1, "1", "1")
+    # A bad ring is reported before a bad text.
+    add("bad-d-and-f", 3, "u", "1", d=-2)
+    add("not-prime-and-bad-f", 4, "u^", "1")
     commands.append({"id": "recipe-missing-p", "argv": ["recipe", "--f", "1", "--h", "1"]})
     commands.append({"id": "recipe-missing-h", "argv": ["recipe", "--p", "3", "--f", "1"]})
     for name, text, d in _texts():
