@@ -148,6 +148,12 @@ def test_orbit_matches_apply_stepping():
     # Coefficients whose sums can leave int64 (p >= 2^62) travel as Python ints.
     for huge in (4611686018427388039, 18446744073709551629):
         cases.append((shear_g(huge, 1, huge - 1), PhaseVector(poly(huge, {0: huge - 2}), poly(huge, {})), 4, False))
+    # Trace 0 and p - c = 1: a step sums to at most p - 1, which int64 windows
+    # hold even past 2^62, where the coefficients come out as Python ints.
+    huge = 4611686018427388039
+    zero = LaurentPoly.zero(huge, 1)
+    swap = ScaMatrix(zero, poly(huge, {1: 1}), LaurentPoly.one(huge, 1), zero)
+    cases.append((swap, PhaseVector(poly(huge, {0: huge - 2, 3: 5}), poly(huge, {1: huge - 1})), 20, True))
 
     for s, xi, steps, windowed in cases:
         assert (s._orbit_recurrence(xi, steps) is not None) == windowed
