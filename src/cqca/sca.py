@@ -191,7 +191,7 @@ class ScaMatrix:
         return _light_cone_checked(blocks, xi.support(), self.radius())
 
     def _orbit_recurrence(self, xi: PhaseVector, steps: int):
-        """(trace, det exponent, det coefficient, lo, hi, dtype) for _block_orbit, or None.
+        """(trace, det exponent, p - det coefficient, lo, hi, dtype) for _block_orbit, or None.
 
         None sends the orbit to _apply_orbit: a zero start, a hollow start (both
         components together: the first window) or hollow entries (all four
@@ -213,8 +213,9 @@ class ScaMatrix:
         if len(det.terms) != 1:
             return None
         ((e, c),) = det.terms.items()
+        neg_c = self.p - int(c)
         trace = self.pp + self.mm
-        dtype = _window_dtype(self.p, sum(map(int, trace.terms.values())), self.p - int(c))
+        dtype = _window_dtype(self.p, sum(map(int, trace.terms.values())), neg_c)
         if dtype is None:
             return None
         cols = list(zip(*cells))
@@ -222,7 +223,7 @@ class ScaMatrix:
         reach = max(abs(v) for x in start for v in x)
         if reach + (steps + 1) * max(map(abs, lo + hi)) >= _DENSE_MAX_EXP:
             return None
-        return trace, e, c, lo, hi, dtype
+        return trace, e, neg_c, lo, hi, dtype
 
     def _apply_orbit(self, xi: PhaseVector, steps: int):
         """Blocks of one slice each, of an orbit stepped with apply() on the sparse dicts.
@@ -406,7 +407,7 @@ def _orbit_plan(rows: int, p: int):
     return plan
 
 
-def _block_orbit(s, xi: PhaseVector, steps: int, trace, e, c, lo, hi, dtype):
+def _block_orbit(s, xi: PhaseVector, steps: int, trace, e, neg_c, lo, hi, dtype):
     """Blocks of an orbit stepped by x_{t+2q} = tr(s)(u^q) x_{t+q} - c u^(qe) x_t.
 
     Cayley-Hamilton gives s^2 = tr(s) s - det(s) I for any 2x2 matrix, and
@@ -426,8 +427,9 @@ def _block_orbit(s, xi: PhaseVector, steps: int, trace, e, c, lo, hi, dtype):
     laurent._mul_dense).  Each trace term is a tap at a flat offset f, and
     x_t moves by the determinant's offset; in the layout of x_{t+2q} both
     move by q times that.  So m <= q consecutive states are one 2-D slice
-    multiply-add per trace term, plus one for the determinant term, over
-    the rows q and 2q back (_orbit_plan picks q and m for each row).  The
+    multiply-add per trace term over the rows q back, plus one of
+    neg_c = p - c times the rows 2q back for the determinant term
+    (_orbit_plan picks q and m for each row).  The
     taps stay inside the window: a row k >= 2q has a box at least
     (2q - 1)(hi - lo) + 1 cells wide on each axis, so q f is a cell of the
     box and the determinant's q-fold offset, at most 2q (hi - lo) per axis,
@@ -443,7 +445,7 @@ def _block_orbit(s, xi: PhaseVector, steps: int, trace, e, c, lo, hi, dtype):
     Every term is nonnegative (residues, trace coefficients and p - c), so
     with S the sum of the trace coefficients a step sums to at most
     (S + p - c)(p - 1), and every partial sum stays below that.  The
-    windows are of dtype, the narrowest whose largest value M holds it
+    windows are of dtype, the narrowest whose largest value M holds that
     (_window_dtype, which _orbit_recurrence asked).  The scalars p, p - c
     and the trace coefficients are Python ints, which numpy applies in the
     window's dtype; each is at most M, as p - 1 <= M and no dtype's M + 1
@@ -453,7 +455,6 @@ def _block_orbit(s, xi: PhaseVector, steps: int, trace, e, c, lo, hi, dtype):
     """
     p, d = s.p, s.d
     growth = [z - a for a, z in zip(lo, hi)]
-    neg_c = p - int(c)
     tr_exps = np.array(list(trace.terms), dtype=np.int64).reshape(len(trace.terms), d) - lo
     tr_coeffs = [int(a) for a in trace.terms.values()]
     det_exp = [x - 2 * a for x, a in zip(e, lo)]
